@@ -17,6 +17,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -30,22 +32,24 @@ template <class V>
 class EntityKeyedMap {
  public:
   struct Entry {
+    template <class... Args>
+    explicit Entry(const net::EntityRef& k, Args&&... args)
+        : key(k), label(k.toString()), value(std::forward<Args>(args)...) {}
+
     net::EntityRef key;
     std::string label;  ///< key.toString(), cached at insertion
     V value;
   };
 
-  /// Allocation-free on the hit path; on a miss, constructs V from `args`
-  /// and caches the label (the only string built, once per new entity).
+  /// Allocation-free on the hit path, where neither V nor the label is
+  /// built; on a miss, constructs V from `args` in place and caches the
+  /// label (the only string built, once per new entity).
   template <class... Args>
   std::pair<Entry*, bool> tryEmplace(const net::EntityRef& key,
                                      Args&&... args) {
     auto [it, inserted] =
-        map_.try_emplace(key, Entry{key, {}, V(std::forward<Args>(args)...)});
-    if (inserted) {
-      it->second.label = key.toString();
-      dirty_ = true;
-    }
+        map_.try_emplace(key, key, std::forward<Args>(args)...);
+    if (inserted) dirty_ = true;
     return {&it->second, inserted};
   }
 
@@ -112,6 +116,16 @@ class EntityKeyedMap {
   std::vector<Entry*> sorted_;
   bool dirty_ = false;
 };
+
+/// How much larger an EntityKeyedMap is than the string-keyed std::map or
+/// std::set it replaced. The RAM proxy (DESIGN.md §1) charges a module
+/// sizeof(*this); modules that moved their per-entity state into an
+/// EntityKeyedMap subtract this once per such member, so their
+/// memoryBytes() figures, and every recorded state size, are unchanged by
+/// the container swap.
+inline constexpr std::size_t kEntityMapSizeofExcess =
+    sizeof(EntityKeyedMap<char>) - sizeof(std::map<std::string, char>);
+static_assert(sizeof(std::set<std::string>) == sizeof(std::map<std::string, char>));
 
 /// Selects the entity with the highest count; ties break toward the
 /// lexicographically smallest string form — exactly the "first strict

@@ -1,6 +1,7 @@
 #include "kalis/knowledge.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace kalis::ids {
 
@@ -51,12 +52,28 @@ BaselineSegment::BaselineSegment(std::vector<Knowgget> entries) {
   }
 }
 
-const Knowgget* BaselineSegment::find(const std::string& key) const {
+namespace {
+
+template <typename Key>
+const Knowgget* findSorted(
+    const std::vector<std::pair<std::string, Knowgget>>& entries,
+    const Key& key) {
+  const KeyLess less;
   const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& e, const std::string& k) { return e.first < k; });
-  if (it == entries_.end() || it->first != key) return nullptr;
+      entries.begin(), entries.end(), key,
+      [&](const auto& e, const Key& k) { return less(e.first, k); });
+  if (it == entries.end() || less(key, it->first)) return nullptr;
   return &it->second;
+}
+
+}  // namespace
+
+const Knowgget* BaselineSegment::find(std::string_view key) const {
+  return findSorted(entries_, key);
+}
+
+const Knowgget* BaselineSegment::find(const KeyRef& key) const {
+  return findSorted(entries_, key);
 }
 
 std::size_t BaselineSegment::memoryBytes() const {
@@ -70,34 +87,36 @@ std::size_t BaselineSegment::memoryBytes() const {
 
 KnowledgeBase::KnowledgeBase(std::string selfId) : selfId_(std::move(selfId)) {}
 
-void KnowledgeBase::putEncoded(const std::string& label, std::string value,
-                               const std::string& entity, bool collective) {
+void KnowledgeBase::putEncoded(std::string_view label, std::string value,
+                               std::string_view entity, bool collective) {
   owner_.check("KnowledgeBase::put");
   if (!writesEnabled_) return;
-  const std::string key = encodeKey(selfId_, label, entity);
-  auto it = store_.find(key);
-  if (it != store_.end() && it->second.value == value) return;  // unchanged
-  if (it == store_.end() && baseline_) {
+  const KeyRef key{selfId_, label, entity};
+  auto it = store_.lower_bound(key);
+  const bool stored = it != store_.end() && !store_.key_comp()(key, it->first);
+  if (stored) {
+    if (it->second.value == value) return;  // unchanged
+  } else if (baseline_) {
     // Copy-on-write: re-asserting the baseline value costs no overlay entry.
     const Knowgget* base = baseline_->find(key);
     if (base != nullptr && base->value == value) return;
   }
+  if (!stored) {
+    Knowgget fresh;
+    fresh.label = label;
+    fresh.creator = selfId_;
+    fresh.entity = entity;
+    it = store_.emplace_hint(it, encodeKey(selfId_, label, entity),
+                             std::move(fresh));
+  }
 
-  Knowgget k;
-  k.label = label;
+  Knowgget& k = it->second;
   k.value = std::move(value);
-  k.creator = selfId_;
-  k.entity = entity;
   k.collective = collective;
   k.updated = nowTs();
-  store_[key] = k;
   publishes_.inc();
   notify(k);
-  if (collective) {
-    // Snapshot: a sink may (un)register sinks while handling the knowgget.
-    const std::vector<CollectiveSink*> sinks = collectiveSinks_;
-    for (CollectiveSink* sink : sinks) sink->onCollective(k);
-  }
+  if (collective) notifySinks(k);
 }
 
 bool KnowledgeBase::putRemote(const Knowgget& k) {
@@ -110,7 +129,7 @@ bool KnowledgeBase::putRemote(const Knowgget& k) {
     remoteRejected_.inc();
     return false;
   }
-  const std::string key = encodeKey(k.creator, k.label, k.entity);
+  const KeyRef key{k.creator, k.label, k.entity};
   auto it = store_.find(key);
   if (it != store_.end()) {
     if (it->second.creator != k.creator) {  // one-way rule
@@ -129,20 +148,27 @@ bool KnowledgeBase::putRemote(const Knowgget& k) {
       if (base->value == k.value) return true;
     }
   }
-  Knowgget stored = k;
-  stored.updated = nowTs();
-  store_[key] = stored;
+  if (it == store_.end()) {
+    it = store_.emplace(encodeKey(k.creator, k.label, k.entity), k).first;
+  } else {
+    it->second = k;
+  }
+  it->second.updated = nowTs();
   remoteAccepted_.inc();
-  notify(stored);
+  notify(it->second);
   return true;
 }
 
-bool KnowledgeBase::remove(const std::string& label, const std::string& entity) {
+bool KnowledgeBase::remove(std::string_view label, std::string_view entity) {
   owner_.check("KnowledgeBase::remove");
-  return store_.erase(encodeKey(selfId_, label, entity)) > 0;
+  assert(notifyDepth_ == 0 && "remove() from a subscription callback");
+  const auto it = store_.find(KeyRef{selfId_, label, entity});
+  if (it == store_.end()) return false;
+  store_.erase(it);
+  return true;
 }
 
-std::optional<std::string> KnowledgeBase::raw(const std::string& key) const {
+std::optional<std::string> KnowledgeBase::raw(std::string_view key) const {
   auto it = store_.find(key);
   if (it != store_.end()) return it->second.value;
   if (baseline_ != nullptr) {
@@ -152,7 +178,13 @@ std::optional<std::string> KnowledgeBase::raw(const std::string& key) const {
   return std::nullopt;
 }
 
-std::vector<Knowgget> KnowledgeBase::byLabel(const std::string& label) const {
+const Knowgget* KnowledgeBase::find(const KeyRef& key) const {
+  auto it = store_.find(key);
+  if (it != store_.end()) return &it->second;
+  return baseline_ != nullptr ? baseline_->find(key) : nullptr;
+}
+
+std::vector<Knowgget> KnowledgeBase::byLabel(std::string_view label) const {
   std::vector<Knowgget> out;
   forEachEntry([&](const std::string&, const Knowgget& k) {
     if (k.label == label) out.push_back(k);
@@ -160,7 +192,7 @@ std::vector<Knowgget> KnowledgeBase::byLabel(const std::string& label) const {
   return out;
 }
 
-std::vector<Knowgget> KnowledgeBase::byEntity(const std::string& entity) const {
+std::vector<Knowgget> KnowledgeBase::byEntity(std::string_view entity) const {
   std::vector<Knowgget> out;
   forEachEntry([&](const std::string&, const Knowgget& k) {
     if (k.entity == entity) out.push_back(k);
@@ -169,7 +201,7 @@ std::vector<Knowgget> KnowledgeBase::byEntity(const std::string& entity) const {
 }
 
 std::vector<Knowgget> KnowledgeBase::byLabelPrefix(
-    const std::string& labelPrefix) const {
+    std::string_view labelPrefix) const {
   std::vector<Knowgget> out;
   forEachEntry([&](const std::string&, const Knowgget& k) {
     if (k.label == labelPrefix ||
@@ -182,9 +214,9 @@ std::vector<Knowgget> KnowledgeBase::byLabelPrefix(
   return out;
 }
 
-std::vector<Knowgget> KnowledgeBase::byCreator(const std::string& creator) const {
+std::vector<Knowgget> KnowledgeBase::byCreator(std::string_view creator) const {
   std::vector<Knowgget> out;
-  const std::string prefix = creator + "$";
+  const std::string prefix = std::string(creator) + "$";
   forEachEntry([&](const std::string& key, const Knowgget& k) {
     if (startsWith(key, prefix)) out.push_back(k);
   });
@@ -220,7 +252,7 @@ std::size_t KnowledgeBase::memoryBytes() const {
 int KnowledgeBase::subscribe(const std::string& labelPattern, Subscription fn) {
   owner_.check("KnowledgeBase::subscribe");
   const int id = nextSubId_++;
-  subs_.push_back(Sub{id, labelPattern, std::move(fn)});
+  subs_.push_back(std::make_unique<Sub>(Sub{id, labelPattern, std::move(fn)}));
   return id;
 }
 
@@ -242,27 +274,56 @@ void KnowledgeBase::removeCollectiveSink(CollectiveSink* sink) {
 
 void KnowledgeBase::unsubscribe(int id) {
   owner_.check("KnowledgeBase::unsubscribe");
+  for (const auto& sub : subs_) {
+    if (sub->id == id) sub->unsubscribed = true;
+  }
+  // A running notify may still fire it; it is erased when that one ends.
+  unsubscribedPending_ = true;
+  if (notifyDepth_ == 0) purgeUnsubscribed();
+}
+
+void KnowledgeBase::purgeUnsubscribed() {
   subs_.erase(std::remove_if(subs_.begin(), subs_.end(),
-                             [id](const Sub& s) { return s.id == id; }),
+                             [](const auto& s) { return s->unsubscribed; }),
               subs_.end());
+  unsubscribedPending_ = false;
+}
+
+bool KnowledgeBase::Sub::matches(std::string_view label) const {
+  if (!pattern.empty() && pattern.back() == '*') {
+    return startsWith(label,
+                      std::string_view(pattern).substr(0, pattern.size() - 1));
+  }
+  return label == pattern;
 }
 
 void KnowledgeBase::notify(const Knowgget& k) {
-  // Iterate over a snapshot: callbacks may subscribe/unsubscribe.
-  const std::vector<Sub> snapshot = subs_;
-  for (const auto& sub : snapshot) {
-    bool match;
-    if (!sub.pattern.empty() && sub.pattern.back() == '*') {
-      match = startsWith(k.label,
-                         std::string_view(sub.pattern).substr(0, sub.pattern.size() - 1));
-    } else {
-      match = (k.label == sub.pattern);
-    }
-    if (match) {
-      subscriptionFires_.inc();
-      sub.fn(k);
-    }
+  // Fix the matching subscribers before the first callback runs: callbacks
+  // may subscribe/unsubscribe (see subscribe()).
+  const std::size_t first = firing_.size();
+  for (const auto& sub : subs_) {
+    if (!sub->unsubscribed && sub->matches(k.label)) firing_.push_back(sub.get());
   }
+  const std::size_t last = firing_.size();
+  ++notifyDepth_;
+  for (std::size_t i = first; i < last; ++i) {
+    subscriptionFires_.inc();
+    firing_[i]->fn(k);
+  }
+  --notifyDepth_;
+  firing_.resize(first);
+  if (notifyDepth_ == 0 && unsubscribedPending_) purgeUnsubscribed();
+}
+
+void KnowledgeBase::notifySinks(const Knowgget& k) {
+  // Fixed before the first call: a sink may (un)register sinks while
+  // handling the knowgget.
+  const std::size_t first = firingSinks_.size();
+  firingSinks_.insert(firingSinks_.end(), collectiveSinks_.begin(),
+                      collectiveSinks_.end());
+  const std::size_t last = firingSinks_.size();
+  for (std::size_t i = first; i < last; ++i) firingSinks_[i]->onCollective(k);
+  firingSinks_.resize(first);
 }
 
 void KnowledgeBase::collectMetrics(obs::Registry& reg,

@@ -8,7 +8,10 @@
 //
 // Multilevel knowggets flatten their hierarchy into dot-notation labels
 // ("TrafficFrequency.TCPSYN"). Lookups by creator are prefix scans, lookups
-// by entity are suffix scans, and exact keys are direct hits.
+// by entity are suffix scans, and exact keys are direct hits. put() and
+// local() compare the key's parts against the stored keys in place
+// (KeyRef), so they build no key string, and a changed value is written
+// into the stored entry.
 //
 // Typed access goes through the single templated put<T>() / local<T>() pair:
 // any argument type is normalized onto one of the four canonical value kinds
@@ -37,6 +40,7 @@
 // still happens on the owning thread.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -75,6 +79,45 @@ struct KeyParts {
 
 /// Inverse of encodeKey; nullopt if the '$' separator is missing.
 std::optional<KeyParts> decodeKey(std::string_view key);
+
+/// The parts of an encoded key, for lookups that build no key string.
+struct KeyRef {
+  std::string_view creator;
+  std::string_view label;
+  std::string_view entity;
+};
+
+/// Three-way comparison of an encoded key with encodeKey(ref), walking the
+/// parts in place.
+inline int compareKey(std::string_view key, const KeyRef& ref) {
+  // Compares the front of `key` with `part`, consuming it when they match.
+  const auto step = [&key](std::string_view part) {
+    const std::size_t n = std::min(key.size(), part.size());
+    if (const int c = std::char_traits<char>::compare(key.data(), part.data(), n)) {
+      return c;
+    }
+    if (n < part.size()) return -1;  // the key ends inside this part
+    key.remove_prefix(n);
+    return 0;
+  };
+  int c = 0;
+  if ((c = step(ref.creator)) || (c = step("$")) || (c = step(ref.label))) return c;
+  if (!ref.entity.empty() && ((c = step("@")) || (c = step(ref.entity)))) return c;
+  return key.empty() ? 0 : 1;
+}
+
+/// Encoded-key order (plain string order), also defined between a stored
+/// key and a KeyRef.
+struct KeyLess {
+  using is_transparent = void;
+  bool operator()(std::string_view a, std::string_view b) const { return a < b; }
+  bool operator()(std::string_view a, const KeyRef& b) const {
+    return compareKey(a, b) < 0;
+  }
+  bool operator()(const KeyRef& a, std::string_view b) const {
+    return compareKey(b, a) > 0;
+  }
+};
 
 /// String codec for knowgget values (Fig. 5b stores every value as a
 /// string). Only the four explicit specializations below exist — they are
@@ -155,7 +198,8 @@ class BaselineSegment {
   explicit BaselineSegment(std::vector<Knowgget> entries);
 
   /// Entry under the exact encoded key, or nullptr.
-  const Knowgget* find(const std::string& key) const;
+  const Knowgget* find(std::string_view key) const;
+  const Knowgget* find(const KeyRef& key) const;
 
   /// All entries, sorted by encoded key.
   const std::vector<std::pair<std::string, Knowgget>>& entries() const {
@@ -199,8 +243,8 @@ class KnowledgeBase {
   /// through KnowggetCodec<KnowggetValueT<T>>. Subscriptions fire only when
   /// the stored value actually changes.
   template <typename T>
-  void put(const std::string& label, const T& value,
-           const std::string& entity = "", bool collective = false) {
+  void put(std::string_view label, const T& value,
+           std::string_view entity = {}, bool collective = false) {
     putEncoded(label, KnowggetCodec<KnowggetValueT<T>>::encode(value), entity,
                collective);
   }
@@ -210,36 +254,37 @@ class KnowledgeBase {
   /// id, or if an existing entry under the same key has a different creator.
   bool putRemote(const Knowgget& k);
 
-  /// Removes a local knowgget; returns true if it existed.
-  bool remove(const std::string& label, const std::string& entity = "");
+  /// Removes a local knowgget; returns true if it existed. Not to be called
+  /// from a subscription callback or sink, which may hold the entry.
+  bool remove(std::string_view label, std::string_view entity = {});
 
   // --- reads ----------------------------------------------------------------
 
   /// Raw value by full key ("K1$Multihop").
-  std::optional<std::string> raw(const std::string& key) const;
+  std::optional<std::string> raw(std::string_view key) const;
 
   /// Local knowgget value (creator = selfId), decoded as T — one of the
   /// four canonical value kinds. Defaults to the raw string form.
   template <typename T = std::string>
-  std::optional<T> local(const std::string& label,
-                         const std::string& entity = "") const {
+  std::optional<T> local(std::string_view label,
+                         std::string_view entity = {}) const {
     static_assert(
         std::is_same_v<T, KnowggetValueT<T>>,
         "local<T>: T must be bool, long long, double or std::string");
-    std::optional<std::string> v = raw(encodeKey(selfId_, label, entity));
-    if (!v) return std::nullopt;
-    return KnowggetCodec<T>::decode(*std::move(v));
+    const Knowgget* k = find(KeyRef{selfId_, label, entity});
+    if (k == nullptr) return std::nullopt;
+    return KnowggetCodec<T>::decode(k->value);
   }
 
   /// All knowggets with this exact label, from any creator/entity.
-  std::vector<Knowgget> byLabel(const std::string& label) const;
+  std::vector<Knowgget> byLabel(std::string_view label) const;
   /// All knowggets for an entity (suffix match on the key).
-  std::vector<Knowgget> byEntity(const std::string& entity) const;
+  std::vector<Knowgget> byEntity(std::string_view entity) const;
   /// Subtree of a multilevel knowgget: label itself plus "label.…" children,
   /// any creator.
-  std::vector<Knowgget> byLabelPrefix(const std::string& labelPrefix) const;
+  std::vector<Knowgget> byLabelPrefix(std::string_view labelPrefix) const;
   /// Everything created by a given Kalis node (prefix scan).
-  std::vector<Knowgget> byCreator(const std::string& creator) const;
+  std::vector<Knowgget> byCreator(std::string_view creator) const;
 
   std::vector<Knowgget> all() const;
   /// Logical knowgget count: overlay entries plus baseline entries the
@@ -257,7 +302,10 @@ class KnowledgeBase {
 
   /// `labelPattern` is an exact label, or a prefix pattern ending in "*"
   /// ("TrafficFrequency.*"). The callback fires on any value change with a
-  /// matching label, from any creator.
+  /// matching label, from any creator, and receives the stored knowgget.
+  /// The subscribers that fire for a change are fixed when it is made: one
+  /// subscribed by a callback does not fire for that change, and one
+  /// unsubscribed by a callback still does.
   using Subscription = std::function<void(const Knowgget&)>;
   int subscribe(const std::string& labelPattern, Subscription fn);
   void unsubscribe(int id);
@@ -293,9 +341,13 @@ class KnowledgeBase {
  private:
   /// The storage primitive behind put<T>: value already in canonical
   /// string form.
-  void putEncoded(const std::string& label, std::string value,
-                  const std::string& entity, bool collective);
+  void putEncoded(std::string_view label, std::string value,
+                  std::string_view entity, bool collective);
+  /// Stored entry (overlay, then baseline) under the key, or nullptr.
+  const Knowgget* find(const KeyRef& key) const;
   void notify(const Knowgget& k);
+  void notifySinks(const Knowgget& k);
+  void purgeUnsubscribed();
   SimTime nowTs() const { return clock_ ? clock_() : 0; }
   /// Visits every logical entry in key order: the overlay merged over the
   /// baseline, overlay entries shadowing same-key baseline entries.
@@ -305,16 +357,26 @@ class KnowledgeBase {
   util::ThreadOwnershipChecker owner_;
   std::string selfId_;
   std::function<SimTime()> clock_;
-  std::map<std::string, Knowgget> store_;  ///< overlay, by encoded key
+  std::map<std::string, Knowgget, KeyLess> store_;  ///< overlay, by encoded key
   std::shared_ptr<const BaselineSegment> baseline_;  ///< read-through layer
   struct Sub {
     int id;
     std::string pattern;
     Subscription fn;
+    bool unsubscribed = false;  ///< erased once no notify is running
+    bool matches(std::string_view label) const;
   };
-  std::vector<Sub> subs_;
+  // Heap-allocated so a Sub stays put while its callback runs.
+  std::vector<std::unique_ptr<Sub>> subs_;
   int nextSubId_ = 1;
   std::vector<CollectiveSink*> collectiveSinks_;
+  // Callbacks to fire, as a stack: each (nested) notify pushes the matching
+  // subscribers (or registered sinks) above its caller's and pops them when
+  // done, so steady-state notifies reuse the capacity.
+  std::vector<Sub*> firing_;
+  std::vector<CollectiveSink*> firingSinks_;
+  int notifyDepth_ = 0;
+  bool unsubscribedPending_ = false;
   bool writesEnabled_ = true;
   obs::Counter publishes_;
   obs::Counter subscriptionFires_;

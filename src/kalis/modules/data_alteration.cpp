@@ -5,7 +5,9 @@ namespace kalis::ids {
 void DataAlterationModule::onPacket(const net::CapturedPacket& pkt,
                                     const net::Dissection& dis,
                                     ModuleContext& ctx) {
-  watchdog_.observe(pkt, dis, ctx.kb.local(labels::kCtpRoot).value_or(""));
+  if (ForwardingWatchdog::follows(dis)) {
+    watchdog_.observe(pkt, dis, ctx.kb.local(labels::kCtpRoot).value_or(""));
+  }
   watchdog_.expire(ctx.now);
 }
 

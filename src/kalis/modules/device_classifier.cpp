@@ -9,9 +9,9 @@ void DeviceClassifierModule::onPacket(const net::CapturedPacket& pkt,
                                       ModuleContext& ctx) {
   (void)pkt;
   (void)ctx;
-  const std::string sender = dis.linkSource();
-  if (sender == "?") return;
-  EntityState& s = state_[sender];
+  const net::EntityRef sender = dis.linkSourceRef();
+  if (!sender.valid()) return;
+  EntityState& s = state_.tryEmplace(sender).first->value;
 
   if (dis.wifi && dis.wifi->kind == net::WifiFrameKind::kBeacon &&
       dis.wifi->src == dis.wifi->bssid) {
@@ -19,11 +19,11 @@ void DeviceClassifierModule::onPacket(const net::CapturedPacket& pkt,
   }
   if (dis.ctpBeacon && dis.ctpBeacon->etx == 0) s.isCtpRoot = true;
 
-  if (dis.zigbee && net::toString(dis.zigbee->src) == sender &&
+  if (dis.zigbee && net::EntityRef::of(dis.zigbee->src) == sender &&
       !dis.zigbee->payload.empty()) {
     const std::uint8_t tag = dis.zigbee->payload[0];
     if (tag == net::kZigbeeAppCommand) {
-      s.commandTargets.insert(net::toString(dis.zigbee->dst));
+      s.commandTargets.insert(net::EntityRef::of(dis.zigbee->dst));
     } else if (tag == net::kZigbeeAppReport) {
       s.sendsReports = true;
     }
@@ -31,7 +31,8 @@ void DeviceClassifierModule::onPacket(const net::CapturedPacket& pkt,
 }
 
 void DeviceClassifierModule::onTick(ModuleContext& ctx) {
-  for (auto& [entity, s] : state_) {
+  state_.forEachOrdered([&](auto& entry) {
+    EntityState& s = entry.value;
     std::string role;
     if (s.isApBeaconer) {
       role = "router";
@@ -42,9 +43,9 @@ void DeviceClassifierModule::onTick(ModuleContext& ctx) {
     }
     if (!role.empty() && role != s.publishedRole) {
       s.publishedRole = role;
-      ctx.kb.put(labels::kRole, role, entity);
+      ctx.kb.put(labels::kRole, role, entry.label);
     }
-  }
+  });
 }
 
 }  // namespace kalis::ids

@@ -15,6 +15,7 @@
 #include <set>
 #include <string>
 
+#include "kalis/entity_map.hpp"
 #include "kalis/module.hpp"
 
 namespace kalis::ids {
@@ -28,20 +29,22 @@ class DeviceClassifierModule final : public SensingModule {
   void onTick(ModuleContext& ctx) override;
 
   std::size_t memoryBytes() const override {
-    std::size_t bytes = sizeof(*this);
-    for (const auto& [k, v] : state_) bytes += k.size() + sizeof(EntityState) + 32;
+    std::size_t bytes = sizeof(*this) - kEntityMapSizeofExcess;
+    state_.forEachUnordered([&](const auto& entry) {
+      bytes += entry.label.size() + sizeof(EntityState) + 32;
+    });
     return bytes;
   }
 
  private:
   struct EntityState {
-    std::set<std::string> commandTargets;
+    std::set<net::EntityRef> commandTargets;
     bool isCtpRoot = false;
     bool isApBeaconer = false;
     bool sendsReports = false;
     std::string publishedRole;
   };
-  std::map<std::string, EntityState> state_;
+  EntityKeyedMap<EntityState> state_;
 };
 
 }  // namespace kalis::ids

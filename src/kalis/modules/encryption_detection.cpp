@@ -43,10 +43,10 @@ void EncryptionDetectionModule::onPacket(const net::CapturedPacket& pkt,
   }
 
   if (linkSecured || payloadOpaque) {
-    const std::string entity = dis.linkSource();
-    if (entity != "?" && !entityEncrypted_[entity]) {
-      entityEncrypted_[entity] = true;
-      ctx.kb.put("Encrypted", true, entity);
+    const net::EntityRef entity = dis.linkSourceRef();
+    if (entity.valid()) {
+      auto [entry, inserted] = entityEncrypted_.tryEmplace(entity);
+      if (inserted) ctx.kb.put("Encrypted", true, entry->label);
     }
   }
   (void)pkt;

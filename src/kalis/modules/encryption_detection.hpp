@@ -14,6 +14,7 @@
 #include <map>
 #include <string>
 
+#include "kalis/entity_map.hpp"
 #include "kalis/module.hpp"
 
 namespace kalis::ids {
@@ -28,15 +29,16 @@ class EncryptionDetectionModule final : public SensingModule {
                 ModuleContext& ctx) override;
 
   std::size_t memoryBytes() const override {
-    std::size_t bytes = sizeof(*this);
-    for (const auto& [k, v] : entityEncrypted_) bytes += k.size() + 16;
+    std::size_t bytes = sizeof(*this) - kEntityMapSizeofExcess;
+    entityEncrypted_.forEachUnordered(
+        [&](const auto& entry) { bytes += entry.label.size() + 16; });
     return bytes;
   }
 
  private:
   double entropyThreshold_ = 7.2;
   std::size_t minPayload_ = 64;
-  std::map<std::string, bool> entityEncrypted_;
+  EntityKeyedMap<bool> entityEncrypted_;  ///< entities seen encrypted (a set)
   bool wpanPublished_ = false;
   bool wifiPublished_ = false;
 };

@@ -14,17 +14,54 @@ std::string zigbeeKey(std::uint16_t src, std::uint8_t seq) {
   return "Z" + std::to_string(src) + ":" + std::to_string(seq);
 }
 
+constexpr std::size_t kSpareNodes = 64;
+
 }  // namespace
+
+// Resolved and expired expectations leave their map nodes here for the next
+// expectation, so a steady stream of forwarded units allocates nothing. One
+// pool per thread, shared by the watchdogs confined to it.
+std::vector<ForwardingWatchdog::PendingMap::node_type>&
+ForwardingWatchdog::spareNodes() {
+  thread_local std::vector<PendingMap::node_type> spare;
+  return spare;
+}
+
+void ForwardingWatchdog::expect(const std::string& key, Pending p) {
+  auto& spare = spareNodes();
+  if (spare.empty()) {
+    pending_[key] = std::move(p);
+    return;
+  }
+  PendingMap::node_type node = std::move(spare.back());
+  spare.pop_back();
+  node.key() = key;
+  node.mapped() = std::move(p);
+  auto result = pending_.insert(std::move(node));
+  if (!result.inserted) {  // a newer copy of a unit already expected
+    result.position->second = std::move(result.node.mapped());
+    spare.push_back(std::move(result.node));
+  }
+}
+
+ForwardingWatchdog::PendingMap::iterator ForwardingWatchdog::retire(
+    PendingMap::iterator it) {
+  const auto next = std::next(it);
+  auto& spare = spareNodes();
+  if (spare.size() < kSpareNodes) {
+    spare.push_back(pending_.extract(it));
+  } else {
+    pending_.erase(it);
+  }
+  return next;
+}
 
 std::uint64_t ForwardingWatchdog::fingerprint(std::uint16_t src,
                                               std::uint8_t seq,
                                               BytesView payload) {
-  Bytes material;
-  ByteWriter w(material);
-  w.u16be(src);
-  w.u8(seq);
-  w.raw(payload);
-  return fnv1a64(BytesView(material));
+  const std::uint8_t head[3] = {static_cast<std::uint8_t>(src >> 8),
+                                static_cast<std::uint8_t>(src & 0xff), seq};
+  return fnv1a64(payload, fnv1a64(BytesView(head)));
 }
 
 void ForwardingWatchdog::observe(const net::CapturedPacket& pkt,
@@ -34,58 +71,55 @@ void ForwardingWatchdog::observe(const net::CapturedPacket& pkt,
   if (dis.ctpData && dis.wpan) {
     const net::CtpDataView& data = *dis.ctpData;
     const std::string key = ctpKey(data.origin.value, data.seqno);
-    const std::string sender = dis.linkSource();
-    const std::string receiver = dis.linkDest();
+    const std::uint64_t payloadHash = fnv1a64(BytesView(data.payload));
 
     // First: does this transmission resolve a pending expectation?
-    resolve(key, sender, fnv1a64(BytesView(data.payload)), now);
+    resolve(key, dis.linkSourceRef(), payloadHash, now);
 
     // Then: does it create a new expectation? The receiver must forward,
     // unless it is the collection root or a broadcast.
-    if (!dis.wpan->dst.isBroadcast() && receiver != ctpRoot) {
-      if (pending_.size() < config_.maxPending) {
-        Pending p;
-        p.seen = now;
-        p.forwarder = receiver;
-        p.payloadHash = fnv1a64(BytesView(data.payload));
-        p.fp = fingerprint(data.origin.value, data.seqno, BytesView(data.payload));
-        p.originEntity = net::toString(data.origin);
-        pending_[key] = std::move(p);
-      }
+    if (dis.wpan->dst.isBroadcast() || pending_.size() >= config_.maxPending) {
+      return;
     }
+    std::string receiver = dis.linkDest();
+    if (receiver == ctpRoot) return;
+    Pending p;
+    p.seen = now;
+    p.forwarder = std::move(receiver);
+    p.payloadHash = payloadHash;
+    p.fp = fingerprint(data.origin.value, data.seqno, BytesView(data.payload));
+    p.originEntity = net::toString(data.origin);
+    expect(key, std::move(p));
     return;
   }
 
   if (dis.zigbee && dis.wpan) {
     const net::ZigbeeNwkFrameView& nwk = *dis.zigbee;
     const std::string key = zigbeeKey(nwk.src.value, nwk.seq);
-    const std::string sender = dis.linkSource();
-    const std::string receiver = dis.linkDest();
-    const std::string nwkDst = net::toString(nwk.dst);
+    const std::uint64_t payloadHash = fnv1a64(BytesView(nwk.payload));
 
-    resolve(key, sender, fnv1a64(BytesView(nwk.payload)), now);
+    resolve(key, dis.linkSourceRef(), payloadHash, now);
 
     // Forwarding expected when the link receiver is not the NWK destination.
     if (!dis.wpan->dst.isBroadcast() && !nwk.dst.isBroadcast() &&
-        receiver != nwkDst) {
-      if (pending_.size() < config_.maxPending) {
-        Pending p;
-        p.seen = now;
-        p.forwarder = receiver;
-        p.payloadHash = fnv1a64(BytesView(nwk.payload));
-        p.fp = fingerprint(nwk.src.value, nwk.seq, BytesView(nwk.payload));
-        p.originEntity = net::toString(nwk.src);
-        pending_[key] = std::move(p);
-      }
+        dis.wpan->dst != nwk.dst && pending_.size() < config_.maxPending) {
+      Pending p;
+      p.seen = now;
+      p.forwarder = dis.linkDest();
+      p.payloadHash = payloadHash;
+      p.fp = fingerprint(nwk.src.value, nwk.seq, BytesView(nwk.payload));
+      p.originEntity = net::toString(nwk.src);
+      expect(key, std::move(p));
     }
   }
 }
 
 void ForwardingWatchdog::resolve(const std::string& key,
-                                 const std::string& bySender,
+                                 const net::EntityRef& sender,
                                  std::uint64_t newPayloadHash, SimTime now) {
   auto it = pending_.find(key);
   if (it == pending_.end()) return;
+  std::string bySender = sender.toString();
   if (it->second.forwarder != bySender) return;  // someone else's copy
   if (newPayloadHash != it->second.payloadHash) {
     alterations_.push_back(AlterationEvent{bySender, now,
@@ -94,14 +128,14 @@ void ForwardingWatchdog::resolve(const std::string& key,
                                            newPayloadHash});
   }
   addVerdict(bySender, Verdict{now, false, it->second.fp});
-  pending_.erase(it);
+  retire(it);
 }
 
 void ForwardingWatchdog::expire(SimTime now) {
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (now >= it->second.seen + config_.timeout) {
       addVerdict(it->second.forwarder, Verdict{now, true, it->second.fp});
-      it = pending_.erase(it);
+      it = retire(it);
     } else {
       ++it;
     }
@@ -152,15 +186,6 @@ std::vector<std::uint64_t> ForwardingWatchdog::droppedFingerprints(
     if (v.dropped) fps.push_back(v.fp);
   }
   return fps;
-}
-
-std::vector<std::string> ForwardingWatchdog::observedForwarders(SimTime now) {
-  std::vector<std::string> out;
-  for (auto& [entity, deque] : verdicts_) {
-    evict(deque, now);
-    if (!deque.empty()) out.push_back(entity);
-  }
-  return out;
 }
 
 std::vector<ForwardingWatchdog::AlterationEvent>

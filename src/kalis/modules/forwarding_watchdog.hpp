@@ -36,6 +36,12 @@ class ForwardingWatchdog {
   ForwardingWatchdog() : config_(Config{}) {}
   explicit ForwardingWatchdog(Config config) : config_(config) {}
 
+  /// The frames observe() follows: CTP data and ZigBee NWK over 802.15.4.
+  /// Callers skip observe(), and looking up the root, for all others.
+  static bool follows(const net::Dissection& dis) {
+    return dis.wpan && (dis.ctpData || dis.zigbee);
+  }
+
   /// Feeds one overheard packet. `ctpRoot` is the collection root's link
   /// entity (forwarding is not expected of it); empty if unknown.
   void observe(const net::CapturedPacket& pkt, const net::Dissection& dis,
@@ -50,8 +56,15 @@ class ForwardingWatchdog {
   /// Fingerprints of recently dropped packets (for wormhole correlation).
   std::vector<std::uint64_t> droppedFingerprints(const std::string& entity,
                                                  SimTime now);
-  /// All entities with at least one verdict in the window.
-  std::vector<std::string> observedForwarders(SimTime now);
+  /// Visits every entity with at least one verdict in the window, in
+  /// ascending entity order. `fn` may call the per-entity queries above.
+  template <class Fn>
+  void forEachForwarder(SimTime now, Fn&& fn) {
+    for (auto& [entity, deque] : verdicts_) {
+      evict(deque, now);
+      if (!deque.empty()) fn(entity);
+    }
+  }
 
   struct AlterationEvent {
     std::string entity;
@@ -66,7 +79,9 @@ class ForwardingWatchdog {
   std::size_t memoryBytes() const;
 
   /// Stable fingerprint of a forwarded unit (used on both sides of a
-  /// wormhole to match dropped vs re-injected traffic).
+  /// wormhole to match dropped vs re-injected traffic): 64-bit FNV-1a over
+  /// src (big-endian), seq and the payload, hashed in place without
+  /// copying them into one buffer.
   static std::uint64_t fingerprint(std::uint16_t src, std::uint8_t seq,
                                    BytesView payload);
 
@@ -84,13 +99,21 @@ class ForwardingWatchdog {
     std::uint64_t fp;
   };
 
-  void resolve(const std::string& key, const std::string& bySender,
+  using PendingMap = std::map<std::string, Pending>;
+
+  void resolve(const std::string& key, const net::EntityRef& sender,
                std::uint64_t newPayloadHash, SimTime now);
+  /// Inserts, or replaces, the expectation under `key`, in a retired map
+  /// node when one is spare.
+  void expect(const std::string& key, Pending p);
+  /// Erases an expectation and keeps its map node for the next one.
+  PendingMap::iterator retire(PendingMap::iterator it);
+  static std::vector<PendingMap::node_type>& spareNodes();
   void addVerdict(const std::string& entity, Verdict v);
   void evict(std::deque<Verdict>& verdicts, SimTime now) const;
 
   Config config_;
-  std::map<std::string, Pending> pending_;            ///< by unit key
+  PendingMap pending_;                                ///< by unit key
   std::map<std::string, std::deque<Verdict>> verdicts_;  ///< by forwarder
   std::vector<AlterationEvent> alterations_;
 };

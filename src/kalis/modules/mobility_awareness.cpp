@@ -31,9 +31,9 @@ void MobilityAwarenessModule::onPacket(const net::CapturedPacket& pkt,
                                        ModuleContext& ctx) {
   (void)ctx;
   // Only link-layer senders we can identify contribute RSSI fingerprints.
-  const std::string entity = dis.linkSource();
-  if (entity == "?") return;
-  EntityState& state = entities_[entity];
+  const net::EntityRef entity = dis.linkSourceRef();
+  if (!entity.valid()) return;
+  EntityState& state = entities_.tryEmplace(entity).first->value;
   state.fast.add(pkt.meta.rssiDbm);
   state.slow.add(pkt.meta.rssiDbm);
   ++state.samples;
@@ -47,33 +47,27 @@ void MobilityAwarenessModule::onPacket(const net::CapturedPacket& pkt,
 void MobilityAwarenessModule::onTick(ModuleContext& ctx) {
   // Publish per-entity signal strength when it moved >= 2 dB since the last
   // write (collective: peers correlate these to confirm network mobility).
-  for (auto& [entity, state] : entities_) {
-    if (state.samples < 3) continue;
+  bool haveBasis = false;
+  std::size_t mobileEntities = 0;
+  entities_.forEachOrdered([&](auto& entry) {
+    EntityState& state = entry.value;
+    haveBasis = haveBasis || state.samples >= minSamples_;
+    if (state.sawEvidence && ctx.now <= state.lastEvidence + holdTime_) {
+      ++mobileEntities;
+    }
+    if (state.samples < 3) return;
     const double current = state.fast.value();
     if (std::fabs(current - state.lastPublished) >= 2.0) {
       state.lastPublished = current;
       ctx.kb.put(labels::kSignalStrength,
-                    static_cast<long long>(std::lround(current)), entity,
+                    static_cast<long long>(std::lround(current)), entry.label,
                     /*collective=*/true);
     }
-  }
+  });
 
   // Publish the network-wide mobility verdict once we have a basis for it.
-  bool haveBasis = false;
-  for (const auto& [entity, state] : entities_) {
-    if (state.samples >= minSamples_) {
-      haveBasis = true;
-      break;
-    }
-  }
   if (!haveBasis) return;
 
-  std::size_t mobileEntities = 0;
-  for (const auto& [entity, state] : entities_) {
-    if (state.sawEvidence && ctx.now <= state.lastEvidence + holdTime_) {
-      ++mobileEntities;
-    }
-  }
   const bool mobileNow = mobileEntities >= minMobileEntities_;
   if (!published_ || publishedValue_ != mobileNow) {
     published_ = true;
@@ -83,10 +77,10 @@ void MobilityAwarenessModule::onTick(ModuleContext& ctx) {
 }
 
 std::size_t MobilityAwarenessModule::memoryBytes() const {
-  std::size_t bytes = sizeof(*this);
-  for (const auto& [entity, state] : entities_) {
-    bytes += entity.size() + sizeof(EntityState) + 16;
-  }
+  std::size_t bytes = sizeof(*this) - kEntityMapSizeofExcess;
+  entities_.forEachUnordered([&](const auto& entry) {
+    bytes += entry.label.size() + sizeof(EntityState) + 16;
+  });
   return bytes;
 }
 

@@ -11,6 +11,7 @@
 #include <map>
 #include <string>
 
+#include "kalis/entity_map.hpp"
 #include "kalis/module.hpp"
 #include "util/stats.hpp"
 
@@ -46,7 +47,7 @@ class MobilityAwarenessModule final : public SensingModule {
   /// distinct entities: one identity with two RSSI fingerprints is a
   /// replication symptom, not a mobile network.
   std::size_t minMobileEntities_ = 2;
-  std::map<std::string, EntityState> entities_;
+  EntityKeyedMap<EntityState> entities_;
   bool published_ = false;
   bool publishedValue_ = false;
 };

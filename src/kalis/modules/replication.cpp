@@ -31,7 +31,7 @@ void ReplicationStaticModule::onPacket(const net::CapturedPacket& pkt,
                                        ModuleContext& ctx) {
   (void)ctx;
   if (!isWpanSender(dis)) return;
-  auto& queue = samples_[dis.linkSource()];
+  auto& queue = samples_.tryEmplace(dis.linkSourceRef()).first->value;
   queue.push_back(Sample{pkt.meta.timestamp, pkt.meta.rssiDbm});
   const SimTime cutoff =
       pkt.meta.timestamp > window_ ? pkt.meta.timestamp - window_ : 0;
@@ -39,15 +39,26 @@ void ReplicationStaticModule::onPacket(const net::CapturedPacket& pkt,
 }
 
 void ReplicationStaticModule::onTick(ModuleContext& ctx) {
-  for (auto& [entity, queue] : samples_) {
+  // Sort buffer reused across ticks and entities. It lives outside the
+  // module so that it does not add to the module's accounted state.
+  thread_local std::vector<double> values;
+  samples_.forEachOrdered([&](auto& entry) {
+    const std::string& entity = entry.label;
+    auto& queue = entry.value;
     const SimTime cutoff = ctx.now > window_ ? ctx.now - window_ : 0;
     while (!queue.empty() && queue.front().time <= cutoff) queue.pop_front();
-    if (queue.size() < 2 * minPerCluster_) continue;
+    if (queue.size() < 2 * minPerCluster_) return;
+
+    // No gap between sorted values exceeds the full range: a range below
+    // the cluster gap rules the entity out without sorting.
+    const auto [lo, hi] = std::minmax_element(
+        queue.begin(), queue.end(),
+        [](const Sample& a, const Sample& b) { return a.rssi < b.rssi; });
+    if (hi->rssi - lo->rssi < clusterGapDb_) return;
 
     // Split the sorted RSSI values at the largest gap; two tight, populated,
     // well-separated clusters mean two radios under one identity.
-    std::vector<double> values;
-    values.reserve(queue.size());
+    values.clear();
     for (const Sample& s : queue) values.push_back(s.rssi);
     std::sort(values.begin(), values.end());
     std::size_t gapAt = 0;
@@ -59,15 +70,15 @@ void ReplicationStaticModule::onTick(ModuleContext& ctx) {
         gapAt = i;
       }
     }
-    if (gap < clusterGapDb_) continue;
+    if (gap < clusterGapDb_) return;
     const std::size_t lowCount = gapAt;
     const std::size_t highCount = values.size() - gapAt;
-    if (lowCount < minPerCluster_ || highCount < minPerCluster_) continue;
+    if (lowCount < minPerCluster_ || highCount < minPerCluster_) return;
     const double lowSpread = values[gapAt - 1] - values.front();
     const double highSpread = values.back() - values[gapAt];
-    if (lowSpread > clusterTightDb_ || highSpread > clusterTightDb_) continue;
+    if (lowSpread > clusterTightDb_ || highSpread > clusterTightDb_) return;
 
-    if (!shouldAlert(entity, ctx.now, cooldown_)) continue;
+    if (!shouldAlert(entity, ctx.now, cooldown_)) return;
     Alert alert;
     alert.type = AttackType::kReplication;
     alert.time = ctx.now;
@@ -80,14 +91,14 @@ void ReplicationStaticModule::onTick(ModuleContext& ctx) {
                    formatDouble(values[gapAt]) + ".." +
                    formatDouble(values.back()) + " dBm";
     ctx.raiseAlert(std::move(alert));
-  }
+  });
 }
 
 std::size_t ReplicationStaticModule::memoryBytes() const {
-  std::size_t bytes = sizeof(*this) + alertStateBytes();
-  for (const auto& [entity, queue] : samples_) {
-    bytes += entity.size() + queue.size() * sizeof(Sample) + 32;
-  }
+  std::size_t bytes = sizeof(*this) - kEntityMapSizeofExcess + alertStateBytes();
+  samples_.forEachUnordered([&](const auto& entry) {
+    bytes += entry.label.size() + entry.value.size() * sizeof(Sample) + 32;
+  });
   return bytes;
 }
 

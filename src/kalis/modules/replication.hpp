@@ -23,6 +23,7 @@
 #include <map>
 #include <string>
 
+#include "kalis/entity_map.hpp"
 #include "kalis/module.hpp"
 
 namespace kalis::ids {
@@ -60,7 +61,7 @@ class ReplicationStaticModule final : public DetectionModule {
   std::size_t minPerCluster_ = 3;
   Duration window_ = seconds(20);
   Duration cooldown_ = seconds(15);
-  std::map<std::string, std::deque<Sample>> samples_;  ///< by entity
+  EntityKeyedMap<std::deque<Sample>> samples_;  ///< by entity
 };
 
 class ReplicationMobileModule final : public DetectionModule {

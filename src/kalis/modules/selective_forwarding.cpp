@@ -30,18 +30,20 @@ void SelectiveForwardingModule::configure(
 void SelectiveForwardingModule::onPacket(const net::CapturedPacket& pkt,
                                          const net::Dissection& dis,
                                          ModuleContext& ctx) {
-  watchdog_.observe(pkt, dis, rootFromKb(ctx.kb));
+  if (ForwardingWatchdog::follows(dis)) {
+    watchdog_.observe(pkt, dis, rootFromKb(ctx.kb));
+  }
   watchdog_.expire(ctx.now);
 }
 
 void SelectiveForwardingModule::onTick(ModuleContext& ctx) {
   watchdog_.expire(ctx.now);
-  for (const std::string& entity : watchdog_.observedForwarders(ctx.now)) {
+  watchdog_.forEachForwarder(ctx.now, [&](const std::string& entity) {
     const std::size_t n = watchdog_.samples(entity, ctx.now);
-    if (n < minSamples_) continue;
+    if (n < minSamples_) return;
     const double ratio = watchdog_.dropRatio(entity, ctx.now);
-    if (ratio < lowThresh_ || ratio >= highThresh_) continue;
-    if (!shouldAlert(entity, ctx.now, cooldown_)) continue;
+    if (ratio < lowThresh_ || ratio >= highThresh_) return;
+    if (!shouldAlert(entity, ctx.now, cooldown_)) return;
     Alert alert;
     alert.type = AttackType::kSelectiveForwarding;
     alert.time = ctx.now;
@@ -50,7 +52,7 @@ void SelectiveForwardingModule::onTick(ModuleContext& ctx) {
     alert.detail = "drop ratio " + formatDouble(ratio) + " over " +
                    std::to_string(n) + " forwarding opportunities";
     ctx.raiseAlert(std::move(alert));
-  }
+  });
 }
 
 // --- BlackholeModule -----------------------------------------------------------
@@ -69,17 +71,19 @@ void BlackholeModule::configure(
 
 void BlackholeModule::onPacket(const net::CapturedPacket& pkt,
                                const net::Dissection& dis, ModuleContext& ctx) {
-  watchdog_.observe(pkt, dis, rootFromKb(ctx.kb));
+  if (ForwardingWatchdog::follows(dis)) {
+    watchdog_.observe(pkt, dis, rootFromKb(ctx.kb));
+  }
   watchdog_.expire(ctx.now);
 }
 
 void BlackholeModule::onTick(ModuleContext& ctx) {
   watchdog_.expire(ctx.now);
-  for (const std::string& entity : watchdog_.observedForwarders(ctx.now)) {
+  watchdog_.forEachForwarder(ctx.now, [&](const std::string& entity) {
     const std::size_t n = watchdog_.samples(entity, ctx.now);
-    if (n < minSamples_) continue;
+    if (n < minSamples_) return;
     const double ratio = watchdog_.dropRatio(entity, ctx.now);
-    if (ratio < highThresh_) continue;
+    if (ratio < highThresh_) return;
 
     // Share the dropped-traffic fingerprints with peer Kalis nodes: if one
     // of them sees this very traffic reappear somewhere else, the attack is
@@ -92,7 +96,7 @@ void BlackholeModule::onTick(ModuleContext& ctx) {
     }
     ctx.kb.put(labels::kWormholeDrops, csv.str(), entity, /*collective=*/true);
 
-    if (!shouldAlert(entity, ctx.now, cooldown_)) continue;
+    if (!shouldAlert(entity, ctx.now, cooldown_)) return;
     Alert alert;
     alert.type = AttackType::kBlackhole;
     alert.time = ctx.now;
@@ -101,7 +105,7 @@ void BlackholeModule::onTick(ModuleContext& ctx) {
     alert.detail = "drop ratio " + formatDouble(ratio) + " over " +
                    std::to_string(n) + " forwarding opportunities";
     ctx.raiseAlert(std::move(alert));
-  }
+  });
 }
 
 }  // namespace kalis::ids

@@ -113,8 +113,8 @@ void SybilMultihopModule::onPacket(const net::CapturedPacket& pkt,
                                    ModuleContext& ctx) {
   (void)ctx;
   if (!dis.wpan) return;
-  const std::string sender = dis.linkSource();
-  IdentityState& s = identities_[sender];
+  const net::EntityRef sender = dis.linkSourceRef();
+  IdentityState& s = identities_.tryEmplace(sender).first->value;
   if (s.lastSeen == 0) s.firstSeen = pkt.meta.timestamp;
   s.lastSeen = pkt.meta.timestamp;
 
@@ -125,14 +125,13 @@ void SybilMultihopModule::onPacket(const net::CapturedPacket& pkt,
   if (dis.ctpData) {
     ++s.dataPackets;
     // A forwarding node (THL>0 under its link id) is routing.
-    if (dis.ctpData->thl > 0 &&
-        net::toString(dis.ctpData->origin) != sender) {
+    const net::EntityRef origin = net::EntityRef::of(dis.ctpData->origin);
+    if (dis.ctpData->thl > 0 && origin != sender) {
       s.routedEver = true;
     }
     // The *origin* identity inside a forwarded frame is also being claimed:
     // track it so fabricated origins count as identities.
-    const std::string origin = net::toString(dis.ctpData->origin);
-    IdentityState& o = identities_[origin];
+    IdentityState& o = identities_.tryEmplace(origin).first->value;
     if (o.lastSeen == 0) o.firstSeen = pkt.meta.timestamp;
     o.lastSeen = pkt.meta.timestamp;
     ++o.dataPackets;
@@ -142,12 +141,13 @@ void SybilMultihopModule::onPacket(const net::CapturedPacket& pkt,
 void SybilMultihopModule::onTick(ModuleContext& ctx) {
   const SimTime cutoff = ctx.now > window_ ? ctx.now - window_ : 0;
   std::vector<std::string> ghosts;
-  for (const auto& [entity, s] : identities_) {
+  identities_.forEachOrdered([&](const auto& entry) {
+    const IdentityState& s = entry.value;
     if (s.lastSeen > cutoff && s.firstSeen > cutoff && !s.routedEver &&
         s.dataPackets >= 1) {
-      ghosts.push_back(entity);
+      ghosts.push_back(entry.label);
     }
-  }
+  });
   if (ghosts.size() < minGhosts_) return;
   if (!shouldAlert("ghost-burst", ctx.now, cooldown_)) return;
   Alert alert;
@@ -161,10 +161,10 @@ void SybilMultihopModule::onTick(ModuleContext& ctx) {
 }
 
 std::size_t SybilMultihopModule::memoryBytes() const {
-  std::size_t bytes = sizeof(*this) + alertStateBytes();
-  for (const auto& [entity, s] : identities_) {
-    bytes += entity.size() + sizeof(IdentityState) + 32;
-  }
+  std::size_t bytes = sizeof(*this) - kEntityMapSizeofExcess + alertStateBytes();
+  identities_.forEachUnordered([&](const auto& entry) {
+    bytes += entry.label.size() + sizeof(IdentityState) + 32;
+  });
   return bytes;
 }
 

@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 
+#include "kalis/entity_map.hpp"
 #include "kalis/module.hpp"
 #include "util/stats.hpp"
 
@@ -90,7 +91,7 @@ class SybilMultihopModule final : public DetectionModule {
   std::size_t minGhosts_ = 4;
   Duration window_ = seconds(20);
   Duration cooldown_ = seconds(20);
-  std::map<std::string, IdentityState> identities_;
+  EntityKeyedMap<IdentityState> identities_;
 };
 
 }  // namespace kalis::ids

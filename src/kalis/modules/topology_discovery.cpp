@@ -62,8 +62,8 @@ void TopologyDiscoveryModule::onPacket(const net::CapturedPacket& pkt,
   MediumState& state = medium_[static_cast<std::size_t>(pkt.medium)];
   ++state.packets;
 
-  const std::string sender = dis.linkSource();
-  if (entities_.insert(sender).second) {
+  const net::EntityRef sender = dis.linkSourceRef();
+  if (entities_.tryEmplace(sender).second) {
     ctx.kb.put(labels::kMonitoredNodes,
                   static_cast<long long>(entities_.size()));
   }
@@ -83,8 +83,8 @@ void TopologyDiscoveryModule::onPacket(const net::CapturedPacket& pkt,
     // First ETX-0 advertiser wins: a sinkhole later claiming root-grade cost
     // must not overwrite established root knowledge.
     if (dis.ctpBeacon->etx == 0 && ctpRoot_.empty()) {
-      ctpRoot_ = sender;
-      ctx.kb.put(labels::kCtpRoot, sender);
+      ctpRoot_ = sender.toString();
+      ctx.kb.put(labels::kCtpRoot, ctpRoot_);
     }
     // A beacon advertising a route of 2+ hops implies a multi-hop tree.
     if (dis.ctpBeacon->etx != 0xffff && dis.ctpBeacon->etx > 10) {
@@ -93,13 +93,14 @@ void TopologyDiscoveryModule::onPacket(const net::CapturedPacket& pkt,
   }
 
   if (dis.zigbee) {
-    const std::string nwkSrc = net::toString(dis.zigbee->src);
-    if (nwkSrc != sender) noteMultihop(pkt.medium, ctx);  // relayed frame
+    if (net::EntityRef::of(dis.zigbee->src) != sender) {
+      noteMultihop(pkt.medium, ctx);  // relayed frame
+    }
     // A unicast NWK frame handed to a link receiver that is not its NWK
     // destination is a routing hop in progress: the network is multi-hop
     // even if we never see the relay's retransmission.
     if (!dis.zigbee->dst.isBroadcast() && !dis.isBroadcastDest() &&
-        dis.linkDest() != net::toString(dis.zigbee->dst)) {
+        dis.linkDestRef() != net::EntityRef::of(dis.zigbee->dst)) {
       noteMultihop(pkt.medium, ctx);
     }
   }
@@ -110,8 +111,9 @@ void TopologyDiscoveryModule::onPacket(const net::CapturedPacket& pkt,
 }
 
 std::size_t TopologyDiscoveryModule::memoryBytes() const {
-  std::size_t bytes = sizeof(*this);
-  for (const auto& e : entities_) bytes += e.size() + 16;
+  std::size_t bytes = sizeof(*this) - kEntityMapSizeofExcess;
+  entities_.forEachUnordered(
+      [&](const auto& entry) { bytes += entry.label.size() + 16; });
   bytes += originSender_.size() * 48;
   return bytes;
 }

@@ -17,9 +17,9 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 
+#include "kalis/entity_map.hpp"
 #include "kalis/module.hpp"
 
 namespace kalis::ids {
@@ -50,8 +50,8 @@ class TopologyDiscoveryModule final : public SensingModule {
   };
   MediumState medium_[3];
 
-  std::set<std::string> entities_;                     ///< distinct link srcs
-  std::map<std::uint32_t, std::string> originSender_;  ///< (origin,seq) -> link src
+  EntityKeyedMap<bool> entities_;  ///< distinct link srcs (a set)
+  std::map<std::uint32_t, net::EntityRef> originSender_;  ///< (origin,seq) -> link src
   std::string ctpRoot_;
   std::uint64_t settlePackets_ = 30;
 };

@@ -2,6 +2,23 @@
 
 namespace kalis::ids {
 
+namespace {
+
+/// "TrafficFrequency.<type>" for every packet type, built once per process.
+const std::string& frequencyLabel(std::size_t typeIdx) {
+  static const auto table = [] {
+    std::array<std::string, net::kNumPacketTypes> out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = std::string(labels::kTrafficFrequency) + "." +
+               net::packetTypeName(static_cast<net::PacketType>(i));
+    }
+    return out;
+  }();
+  return table[typeIdx];
+}
+
+}  // namespace
+
 TrafficStatsModule::TrafficStatsModule() {
   for (auto& counter : global_) {
     counter = std::make_unique<SlidingCounter>(window_);
@@ -69,15 +86,16 @@ void TrafficStatsModule::onPacket(const net::CapturedPacket& pkt,
   global_[typeIdx]->record(ctx.now);
 
   // Per-device accounting against the traffic's *target* — the entity a
-  // DoS-style attack would be aimed at. Allocation-free on the hit path.
+  // DoS-style attack would be aimed at. Allocation-free on the hit path:
+  // tryEmplace builds a counter only for a target not seen before.
   net::EntityRef target = dis.networkDestRef();
   if (!target.valid()) target = dis.linkDestRef();
   auto [entry, inserted] = perDevice_[typeIdx].tryEmplace(target, window_);
   entry->value.record(ctx.now);
 
   if (const char* proto = protocolOf(dis)) {
-    if (!protocolsSeen_[proto]) {
-      protocolsSeen_[proto] = true;
+    if (protocolsSeen_.find(std::string_view(proto)) == protocolsSeen_.end()) {
+      protocolsSeen_.emplace(proto, true);
       ctx.kb.put(std::string(labels::kProtocols) + "." + proto, true);
     }
   }
@@ -87,21 +105,13 @@ void TrafficStatsModule::onTick(ModuleContext& ctx) {
   lastNow_ = ctx.now;
   for (std::size_t i = 0; i < global_.size(); ++i) {
     const double rate = global_[i]->rate(ctx.now);
-    if (rate > 0.0) {
-      ctx.kb.put(std::string(labels::kTrafficFrequency) + "." +
-                     net::packetTypeName(static_cast<net::PacketType>(i)),
-                 rate);
-    }
+    if (rate > 0.0) ctx.kb.put(frequencyLabel(i), rate);
   }
   for (std::size_t i = 0; i < perDevice_.size(); ++i) {
     perDevice_[i].forEachOrdered(
         [&](EntityKeyedMap<SlidingCounter>::Entry& entry) {
           const double rate = entry.value.rate(ctx.now);
-          if (rate > 0.0) {
-            ctx.kb.put(std::string(labels::kTrafficFrequency) + "." +
-                           net::packetTypeName(static_cast<net::PacketType>(i)),
-                       rate, entry.label);
-          }
+          if (rate > 0.0) ctx.kb.put(frequencyLabel(i), rate, entry.label);
         });
   }
 }

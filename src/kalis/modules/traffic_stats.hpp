@@ -50,7 +50,7 @@ class TrafficStatsModule final : public SensingModule {
   // demand. Iterating type-major then label-ascending reproduces the old
   // std::map<std::pair<int, std::string>, ...> publication order exactly.
   std::array<EntityKeyedMap<SlidingCounter>, net::kNumPacketTypes> perDevice_;
-  std::map<std::string, bool> protocolsSeen_;
+  std::map<std::string, bool, std::less<>> protocolsSeen_;
   SimTime lastNow_ = 0;
 };
 

@@ -66,16 +66,17 @@ std::optional<Ipv4Decoded> decodeIpv4(BytesView raw) {
   return d;
 }
 
-Bytes ipv4PseudoHeader(Ipv4Addr src, Ipv4Addr dst, IpProto proto,
-                       std::uint16_t length) {
-  Bytes out;
-  ByteWriter w(out);
-  w.u32be(src.value);
-  w.u32be(dst.value);
-  w.u8(0);
-  w.u8(static_cast<std::uint8_t>(proto));
-  w.u16be(length);
-  return out;
+Ipv4PseudoHeader ipv4PseudoHeader(Ipv4Addr src, Ipv4Addr dst, IpProto proto,
+                                  std::uint16_t length) {
+  const auto byte = [](std::uint32_t v, int shift) {
+    return static_cast<std::uint8_t>((v >> shift) & 0xff);
+  };
+  return {byte(src.value, 24), byte(src.value, 16),
+          byte(src.value, 8),  byte(src.value, 0),
+          byte(dst.value, 24), byte(dst.value, 16),
+          byte(dst.value, 8),  byte(dst.value, 0),
+          0, static_cast<std::uint8_t>(proto),
+          byte(length, 8), byte(length, 0)};
 }
 
 }  // namespace kalis::net

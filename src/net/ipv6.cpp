@@ -1,5 +1,7 @@
 #include "net/ipv6.hpp"
 
+#include <algorithm>
+
 #include "util/checksum.hpp"
 
 namespace kalis::net {
@@ -44,17 +46,16 @@ std::optional<Ipv6Decoded> decodeIpv6(BytesView raw) {
   return d;
 }
 
-Bytes ipv6PseudoHeader(const Ipv6Addr& src, const Ipv6Addr& dst,
-                       std::uint32_t length, std::uint8_t nextHeader) {
-  Bytes out;
-  ByteWriter w(out);
-  w.raw(BytesView(src.bytes.data(), src.bytes.size()));
-  w.raw(BytesView(dst.bytes.data(), dst.bytes.size()));
-  w.u32be(length);
-  w.u8(0);
-  w.u8(0);
-  w.u8(0);
-  w.u8(nextHeader);
+Ipv6PseudoHeader ipv6PseudoHeader(const Ipv6Addr& src, const Ipv6Addr& dst,
+                                  std::uint32_t length, std::uint8_t nextHeader) {
+  Ipv6PseudoHeader out{};
+  std::copy(src.bytes.begin(), src.bytes.end(), out.begin());
+  std::copy(dst.bytes.begin(), dst.bytes.end(), out.begin() + 16);
+  out[32] = static_cast<std::uint8_t>(length >> 24);
+  out[33] = static_cast<std::uint8_t>((length >> 16) & 0xff);
+  out[34] = static_cast<std::uint8_t>((length >> 8) & 0xff);
+  out[35] = static_cast<std::uint8_t>(length & 0xff);
+  out[39] = nextHeader;  // 36..38 are zero
   return out;
 }
 
@@ -70,7 +71,7 @@ Bytes Icmpv6MessageT<Storage>::encode(const Ipv6Addr& src, const Ipv6Addr& dst) 
   if (wireChecksum) {
     w.patchU16be(checksumOffset, *wireChecksum);
   } else {
-    const Bytes pseudo =
+    const auto pseudo =
         ipv6PseudoHeader(src, dst, static_cast<std::uint32_t>(out.size()),
                          static_cast<std::uint8_t>(IpProto::kIcmpv6));
     w.patchU16be(checksumOffset, internetChecksum2(pseudo, BytesView(out)));
@@ -90,7 +91,7 @@ std::optional<Icmpv6Decoded> decodeIcmpv6(BytesView raw, const Ipv6Addr& src,
   d.message.code = *r.u8();
   d.message.wireChecksum = *r.u16be();
   d.message.body = r.rest();  // aliases `raw`
-  const Bytes pseudo =
+  const auto pseudo =
       ipv6PseudoHeader(src, dst, static_cast<std::uint32_t>(raw.size()),
                        static_cast<std::uint8_t>(IpProto::kIcmpv6));
   d.checksumValid = internetChecksum2(pseudo, raw) == 0;

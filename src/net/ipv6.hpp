@@ -2,6 +2,7 @@
 // carried over 6LoWPAN in the paper's IoT networks.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -35,9 +36,11 @@ struct Ipv6Decoded {
 
 std::optional<Ipv6Decoded> decodeIpv6(BytesView raw);
 
-/// IPv6 pseudo-header (RFC 8200 §8.1) for upper-layer checksums.
-Bytes ipv6PseudoHeader(const Ipv6Addr& src, const Ipv6Addr& dst,
-                       std::uint32_t length, std::uint8_t nextHeader);
+/// IPv6 pseudo-header (RFC 8200 §8.1) for upper-layer checksums, built on
+/// the stack.
+using Ipv6PseudoHeader = std::array<std::uint8_t, 40>;
+Ipv6PseudoHeader ipv6PseudoHeader(const Ipv6Addr& src, const Ipv6Addr& dst,
+                                  std::uint32_t length, std::uint8_t nextHeader);
 
 // --- ICMPv6 ------------------------------------------------------------------
 

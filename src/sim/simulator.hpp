@@ -4,9 +4,9 @@
 // insertion order, and all randomness flows from the seed passed in.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -30,7 +30,8 @@ class Simulator {
 
   /// Schedules fn at an absolute virtual time (>= now).
   void at(SimTime t, std::function<void()> fn) {
-    queue_.push(Event{t, nextSeq_++, std::move(fn)});
+    queue_.push_back(Event{t, nextSeq_++, std::move(fn)});
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
     queueDepth_.set(static_cast<double>(queue_.size()));
   }
 
@@ -38,8 +39,10 @@ class Simulator {
   bool step() {
     if (queue_.empty()) return false;
     if (obs::kEnabled && wallStartNs_ == 0) wallStartNs_ = obs::nowNs();
-    Event ev = queue_.top();
-    queue_.pop();
+    // Moved out, not copied: the callback may own heap state.
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    Event ev = std::move(queue_.back());
+    queue_.pop_back();
     now_ = ev.time;
     eventsDispatched_.inc();
     ev.fn();
@@ -48,14 +51,14 @@ class Simulator {
 
   /// Runs all events with time <= t, then advances the clock to exactly t.
   void runUntil(SimTime t) {
-    while (!queue_.empty() && queue_.top().time <= t) step();
+    while (!queue_.empty() && queue_.front().time <= t) step();
     if (t > now_) now_ = t;
   }
 
   /// Drains the queue (bounded by hardStop to guard against periodic
   /// re-scheduling loops).
   void runAll(SimTime hardStop = kSimTimeMax) {
-    while (!queue_.empty() && queue_.top().time <= hardStop) step();
+    while (!queue_.empty() && queue_.front().time <= hardStop) step();
   }
 
   std::size_t pendingEvents() const { return queue_.size(); }
@@ -103,7 +106,7 @@ class Simulator {
   SimTime now_ = 0;
   std::uint64_t nextSeq_ = 0;
   Rng rng_;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Event> queue_;  ///< binary min-heap under Later
   obs::Counter eventsDispatched_;
   obs::Gauge queueDepth_;
   std::uint64_t wallStartNs_ = 0;

@@ -28,6 +28,21 @@ std::uint16_t foldOnes(std::uint32_t acc) {
   return static_cast<std::uint16_t>(~acc);
 }
 
+// MSB-first CRC-16/CCITT: entry i is the CRC of byte i with a zero
+// register, so one lookup replaces the eight shift/xor steps per byte.
+std::array<std::uint16_t, 256> makeCrc16Table() {
+  std::array<std::uint16_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint16_t c = static_cast<std::uint16_t>(i << 8);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 0x8000) ? static_cast<std::uint16_t>((c << 1) ^ 0x1021)
+                       : static_cast<std::uint16_t>(c << 1);
+    }
+    table[i] = c;
+  }
+  return table;
+}
+
 std::array<std::uint32_t, 256> makeCrc32Table() {
   std::array<std::uint32_t, 256> table{};
   for (std::uint32_t i = 0; i < 256; ++i) {
@@ -57,13 +72,10 @@ std::uint16_t internetChecksum2(BytesView a, BytesView b) {
 }
 
 std::uint16_t crc16Ccitt(BytesView data) {
+  static const auto table = makeCrc16Table();
   std::uint16_t crc = 0x0000;
   for (std::uint8_t byte : data) {
-    crc ^= static_cast<std::uint16_t>(byte) << 8;
-    for (int i = 0; i < 8; ++i) {
-      crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
-                           : static_cast<std::uint16_t>(crc << 1);
-    }
+    crc = static_cast<std::uint16_t>((crc << 8) ^ table[(crc >> 8) ^ byte]);
   }
   return crc;
 }
@@ -77,8 +89,7 @@ std::uint32_t crc32(BytesView data) {
   return c ^ 0xffffffffu;
 }
 
-std::uint64_t fnv1a64(BytesView data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+std::uint64_t fnv1a64(BytesView data, std::uint64_t h) {
   for (std::uint8_t byte : data) {
     h ^= byte;
     h *= 0x100000001b3ull;

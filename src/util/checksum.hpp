@@ -21,6 +21,8 @@ std::uint32_t crc32(BytesView data);
 
 /// 64-bit FNV-1a hash, used for payload fingerprinting (wormhole correlation,
 /// data-alteration watchdog) — not a cryptographic hash, but stable and fast.
-std::uint64_t fnv1a64(BytesView data);
+/// Streams: fnv1a64(b, fnv1a64(a)) equals the hash of a followed by b.
+inline constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ull;
+std::uint64_t fnv1a64(BytesView data, std::uint64_t h = kFnv1a64Offset);
 
 }  // namespace kalis

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "util/types.hpp"
 
@@ -93,14 +92,17 @@ std::optional<bool> parseBool(std::string_view s) {
 }
 
 std::string formatDouble(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
+  // printf's "%.0f" for integral values, "%g" otherwise; std::to_chars with
+  // a precision is specified to print exactly as printf does, without the
+  // format-string parsing and locale lookup.
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
+  const bool integral =
+      std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15;
+  const auto res =
+      integral ? std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 0)
+               : std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::general, 6);
+  return std::string(buf, res.ptr);
 }
 
 std::string defaultNodeName(NodeId id) {

@@ -4,6 +4,9 @@
 // one-way update rules of §IV-B3.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "kalis/knowledge.hpp"
 
 namespace kalis::ids {
@@ -231,6 +234,112 @@ TEST(KnowledgeBase, SubscriberCanSubscribeDuringNotify) {
   kb.put("A", "1");
   kb.put("B", "1");
   EXPECT_EQ(nested, 1);
+}
+
+TEST(KnowggetKey, CompareKeyMatchesEncodedStringOrder) {
+  // The KB looks keys up by their parts; that order must be the order of
+  // the encoded strings the store is sorted by.
+  const std::string parts[] = {"", "K", "K1", "K1$", "K2", "A", "A.b", "A@",
+                               "Multihop", "Multihop.WiFi", "0x0003", "@", "$"};
+  std::vector<std::string> keys;
+  for (const auto& creator : {"K1", "K2", "K", ""}) {
+    for (const auto& label : parts) {
+      for (const auto& entity : parts) keys.push_back(encodeKey(creator, label, entity));
+    }
+  }
+  for (const auto& creator : {"K1", "K2", "K"}) {
+    for (const auto& label : parts) {
+      for (const auto& entity : parts) {
+        const KeyRef ref{creator, label, entity};
+        const std::string encoded = encodeKey(creator, label, entity);
+        for (const std::string& key : keys) {
+          const int expected = key.compare(encoded);
+          const int got = compareKey(key, ref);
+          ASSERT_EQ(expected < 0, got < 0) << key << " vs " << encoded;
+          ASSERT_EQ(expected == 0, got == 0) << key << " vs " << encoded;
+        }
+      }
+    }
+  }
+}
+
+TEST(KnowledgeBase, SubscriberAddedInCallbackDoesNotFireForThatChange) {
+  KnowledgeBase kb("K1");
+  int late = 0;
+  bool added = false;
+  kb.subscribe("A", [&](const Knowgget&) {
+    if (added) return;
+    added = true;
+    kb.subscribe("A", [&](const Knowgget&) { ++late; });
+  });
+  kb.put("A", 1);
+  EXPECT_EQ(late, 0);
+  kb.put("A", 2);
+  EXPECT_EQ(late, 1);
+}
+
+TEST(KnowledgeBase, SubscriberRemovedInCallbackStillFiresForThatChange) {
+  KnowledgeBase kb("K1");
+  int removedCalls = 0;
+  int removedId = 0;
+  kb.subscribe("A", [&](const Knowgget&) { kb.unsubscribe(removedId); });
+  removedId = kb.subscribe("A", [&](const Knowgget& k) {
+    ++removedCalls;
+    EXPECT_EQ(k.value, "1");
+  });
+  kb.put("A", 1);
+  EXPECT_EQ(removedCalls, 1);
+  kb.put("A", 2);
+  EXPECT_EQ(removedCalls, 1);
+}
+
+TEST(KnowledgeBase, UnchangedPutFiresNothing) {
+  KnowledgeBase kb("K1");
+  RecordingSink sink;
+  kb.addCollectiveSink(&sink);
+  int calls = 0;
+  kb.subscribe("Mobility", [&](const Knowgget&) { ++calls; });
+  kb.put("Mobility", true, "", /*collective=*/true);
+  kb.put("Mobility", true, "", /*collective=*/true);
+  kb.put("Mobility", "true", "", /*collective=*/true);  // same encoded value
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(sink.labels.size(), 1u);
+  EXPECT_EQ(kb.overlaySize(), 1u);
+}
+
+TEST(KnowledgeBase, InPlaceUpdateRefreshesTimestampAndReachesSinksInOrder) {
+  KnowledgeBase kb("K1");
+  SimTime now = seconds(1);
+  kb.setClock([&] { return now; });
+  struct OrderedSink final : CollectiveSink {
+    OrderedSink(std::string name, std::vector<std::string>& log)
+        : name(std::move(name)), log(log) {}
+    void onCollective(const Knowgget& k) override {
+      log.push_back(name + ":" + k.value + "@" + std::to_string(k.updated));
+    }
+    std::string name;
+    std::vector<std::string>& log;
+  };
+  std::vector<std::string> log;
+  OrderedSink a("a", log);
+  OrderedSink b("b", log);
+  kb.addCollectiveSink(&a);
+  kb.addCollectiveSink(&b);
+  SimTime seenBySubscriber = 0;
+  kb.subscribe("SignalStrength", [&](const Knowgget& k) { seenBySubscriber = k.updated; });
+
+  kb.put("SignalStrength", -60, "0x0003", /*collective=*/true);
+  now = seconds(5);
+  kb.put("SignalStrength", -70, "0x0003", /*collective=*/true);
+
+  EXPECT_EQ(seenBySubscriber, seconds(5));
+  const std::vector<Knowgget> all = kb.all();
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].value, "-70");
+  EXPECT_EQ(all[0].updated, seconds(5));
+  const std::vector<std::string> expected = {"a:-60@1000000", "b:-60@1000000",
+                                             "a:-70@5000000", "b:-70@5000000"};
+  EXPECT_EQ(log, expected);
 }
 
 }  // namespace

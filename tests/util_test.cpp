@@ -131,6 +131,34 @@ TEST(Checksum, Crc32KnownVector) {
   EXPECT_EQ(crc32(BytesView(data)), 0xcbf43926u);
 }
 
+TEST(Checksum, Crc16CcittKnownVector) {
+  // CRC-16/XMODEM check value: polynomial 0x1021, init 0, no reflection.
+  const Bytes data = bytesOf("123456789");
+  EXPECT_EQ(crc16Ccitt(BytesView(data)), 0x31c3);
+}
+
+TEST(Checksum, Crc16CcittMatchesBitwiseReference) {
+  // The definition, one bit at a time; crc16Ccitt must agree on any input.
+  const auto reference = [](BytesView data) {
+    std::uint16_t crc = 0x0000;
+    for (std::uint8_t byte : data) {
+      crc ^= static_cast<std::uint16_t>(byte) << 8;
+      for (int i = 0; i < 8; ++i) {
+        crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
+                             : static_cast<std::uint16_t>(crc << 1);
+      }
+    }
+    return crc;
+  };
+  Rng rng(0x802154);
+  for (int trial = 0; trial < 500; ++trial) {
+    Bytes data(rng.nextBelow(301));
+    for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.nextBelow(256));
+    ASSERT_EQ(crc16Ccitt(BytesView(data)), reference(BytesView(data)))
+        << "length " << data.size();
+  }
+}
+
 TEST(Checksum, Crc16CcittDiffersOnSingleBitFlip) {
   Bytes data = bytesOf("hello 802.15.4");
   const std::uint16_t original = crc16Ccitt(BytesView(data));
@@ -143,6 +171,15 @@ TEST(Checksum, Fnv1aStableAndSensitive) {
             fnv1a64(BytesView(bytesOf("abc"))));
   EXPECT_NE(fnv1a64(BytesView(bytesOf("abc"))),
             fnv1a64(BytesView(bytesOf("abd"))));
+}
+
+TEST(Checksum, Fnv1aStreamsAcrossSpans) {
+  const Bytes head = bytesOf("src+seq");
+  const Bytes tail = bytesOf("payload");
+  Bytes joined = head;
+  joined.insert(joined.end(), tail.begin(), tail.end());
+  EXPECT_EQ(fnv1a64(BytesView(tail), fnv1a64(BytesView(head))),
+            fnv1a64(BytesView(joined)));
 }
 
 // --- Rng -------------------------------------------------------------------------

@@ -158,6 +158,42 @@ TEST(EntityKeyedMap, OrderedIterationMatchesLegacyStringMap) {
   EXPECT_EQ(byEntity.findByLabel("nope"), nullptr);
 }
 
+/// Counts every construction of a value, copies and moves included.
+struct CountedValue {
+  static inline int constructions = 0;
+  explicit CountedValue(int v) : value(v) { ++constructions; }
+  CountedValue(const CountedValue& other) : value(other.value) { ++constructions; }
+  CountedValue(CountedValue&& other) noexcept : value(other.value) {
+    ++constructions;
+  }
+  int value;
+};
+
+TEST(EntityKeyedMap, TryEmplaceConstructsValueOnlyForNewKeys) {
+  CountedValue::constructions = 0;
+  ids::EntityKeyedMap<CountedValue> byEntity;
+  const EntityRef refs[] = {EntityRef::of(Mac16{0x0003}),
+                            EntityRef::of(Mac48{{2, 0, 0, 0, 0, 7}}),
+                            EntityRef::of(Ipv4Addr{0x0a000002})};
+  for (int i = 0; i < 3; ++i) {
+    auto [entry, inserted] = byEntity.tryEmplace(refs[i], i);
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(entry->label, refs[i].toString());
+  }
+  EXPECT_EQ(CountedValue::constructions, 3);
+
+  for (int round = 0; round < 10; ++round) {
+    for (const EntityRef& ref : refs) {
+      auto [entry, inserted] = byEntity.tryEmplace(ref, -1);
+      EXPECT_FALSE(inserted);
+      EXPECT_EQ(entry, byEntity.find(ref));
+      EXPECT_EQ(entry->label, ref.toString());  // cached at insertion
+    }
+  }
+  EXPECT_EQ(CountedValue::constructions, 3);  // a hit builds nothing
+  EXPECT_EQ(byEntity.find(refs[1])->value.value, 1);
+}
+
 TEST(EntityKeyedMap, DominantEntityTieBreaksOnLabel) {
   std::map<EntityRef, std::size_t> counts;
   counts[EntityRef::of(Mac16{0x0009})] = 3;
