@@ -276,6 +276,15 @@ class KnowledgeBase {
     return KnowggetCodec<T>::decode(k->value);
   }
 
+  /// Local knowgget value in its stored string form, read in place: no
+  /// copy, no decode. The view is valid until the next write to this KB.
+  std::optional<std::string_view> localView(std::string_view label,
+                                            std::string_view entity = {}) const {
+    const Knowgget* k = find(KeyRef{selfId_, label, entity});
+    if (k == nullptr) return std::nullopt;
+    return std::string_view(k->value);
+  }
+
   /// All knowggets with this exact label, from any creator/entity.
   std::vector<Knowgget> byLabel(std::string_view label) const;
   /// All knowggets for an entity (suffix match on the key).

@@ -6,7 +6,7 @@ void DataAlterationModule::onPacket(const net::CapturedPacket& pkt,
                                     const net::Dissection& dis,
                                     ModuleContext& ctx) {
   if (ForwardingWatchdog::follows(dis)) {
-    watchdog_.observe(pkt, dis, ctx.kb.local(labels::kCtpRoot).value_or(""));
+    watchdog_.observe(pkt, dis, ForwardingWatchdog::ctpRoot(ctx.kb));
   }
   watchdog_.expire(ctx.now);
 }

@@ -39,7 +39,8 @@ class DataAlterationModule final : public DetectionModule {
 
   std::uint32_t workUnitsPerPacket() const override { return 3; }
   std::size_t memoryBytes() const override {
-    return sizeof(*this) + watchdog_.memoryBytes() + alertStateBytes();
+    return sizeof(*this) - ForwardingWatchdog::sizeofExcess() +
+           watchdog_.memoryBytes() + alertStateBytes();
   }
 
  private:

@@ -1,22 +1,62 @@
 #include "kalis/modules/forwarding_watchdog.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <string_view>
+
+#include "kalis/knowledge.hpp"
 #include "util/checksum.hpp"
 
 namespace kalis::ids {
 
 namespace {
 
-std::string ctpKey(std::uint16_t origin, std::uint8_t seqno) {
-  return "C" + std::to_string(origin) + ":" + std::to_string(seqno);
+constexpr std::uint32_t kCtpFamily = 0;
+constexpr std::uint32_t kZigbeeFamily = 1;
+
+constexpr std::uint32_t unitKey(std::uint32_t family, std::uint16_t source,
+                                std::uint8_t seq) {
+  return (family << 24) | (static_cast<std::uint32_t>(source) << 8) | seq;
 }
 
-std::string zigbeeKey(std::uint16_t src, std::uint8_t seq) {
-  return "Z" + std::to_string(src) + ":" + std::to_string(seq);
+/// Longest string key: "Z65535:255".
+constexpr std::size_t kMaxKeyText = 10;
+
+/// The unit's key in the watchdog's original string form, "C<origin>:<seq>"
+/// or "Z<src>:<seq>", written to `out`. Simultaneous timeouts are recorded
+/// in this order, which droppedFingerprints() — and with it the
+/// Wormhole.Drops knowgget — exposes.
+std::string_view keyText(std::uint32_t key, char (&out)[kMaxKeyText]) {
+  char* p = out;
+  *p++ = (key >> 24) == kZigbeeFamily ? 'Z' : 'C';
+  p = std::to_chars(p, std::end(out), (key >> 8) & 0xffff).ptr;
+  *p++ = ':';
+  p = std::to_chars(p, std::end(out), key & 0xff).ptr;
+  return std::string_view(out, static_cast<std::size_t>(p - out));
+}
+
+bool keyTextLess(std::uint32_t a, std::uint32_t b) {
+  char textA[kMaxKeyText];
+  char textB[kMaxKeyText];
+  return keyText(a, textA) < keyText(b, textB);
 }
 
 constexpr std::size_t kSpareNodes = 64;
 
 }  // namespace
+
+net::EntityRef ForwardingWatchdog::ctpRoot(const KnowledgeBase& kb) {
+  // TopologyDiscovery publishes the root's short address as its label, "0x"
+  // and four lowercase hex digits. No other string names an 802.15.4
+  // receiver, so anything else leaves every receiver expected to forward.
+  const std::string_view root = kb.localView(labels::kCtpRoot).value_or("");
+  const bool label = root.size() == 6 && root.starts_with("0x") &&
+                     std::none_of(root.begin(), root.end(),
+                                  [](char c) { return c >= 'A' && c <= 'F'; });
+  const std::optional<net::Mac16> mac =
+      label ? net::parseMac16(root) : std::nullopt;
+  return mac ? net::EntityRef::of(*mac) : net::EntityRef::none();
+}
 
 // Resolved and expired expectations leave their map nodes here for the next
 // expectation, so a steady stream of forwarded units allocates nothing. One
@@ -27,19 +67,28 @@ ForwardingWatchdog::spareNodes() {
   return spare;
 }
 
-void ForwardingWatchdog::expect(const std::string& key, Pending p) {
+// Units timed out by one expire() call wait here to be recorded in key-text
+// order; per thread, like the spare nodes, so its capacity outlives the
+// watchdogs.
+std::vector<ForwardingWatchdog::Due>& ForwardingWatchdog::dueScratch() {
+  thread_local std::vector<Due> due;
+  return due;
+}
+
+void ForwardingWatchdog::expect(std::uint32_t key, const Pending& p) {
+  earliestDeadline_ = std::min(earliestDeadline_, p.seen + config_.timeout);
   auto& spare = spareNodes();
   if (spare.empty()) {
-    pending_[key] = std::move(p);
+    pending_.insert_or_assign(key, p);
     return;
   }
   PendingMap::node_type node = std::move(spare.back());
   spare.pop_back();
   node.key() = key;
-  node.mapped() = std::move(p);
+  node.mapped() = p;
   auto result = pending_.insert(std::move(node));
   if (!result.inserted) {  // a newer copy of a unit already expected
-    result.position->second = std::move(result.node.mapped());
+    result.position->second = p;
     spare.push_back(std::move(result.node));
   }
 }
@@ -66,11 +115,11 @@ std::uint64_t ForwardingWatchdog::fingerprint(std::uint16_t src,
 
 void ForwardingWatchdog::observe(const net::CapturedPacket& pkt,
                                  const net::Dissection& dis,
-                                 const std::string& ctpRoot) {
+                                 const net::EntityRef& ctpRoot) {
   const SimTime now = pkt.meta.timestamp;
   if (dis.ctpData && dis.wpan) {
     const net::CtpDataView& data = *dis.ctpData;
-    const std::string key = ctpKey(data.origin.value, data.seqno);
+    const std::uint32_t key = unitKey(kCtpFamily, data.origin.value, data.seqno);
     const std::uint64_t payloadHash = fnv1a64(BytesView(data.payload));
 
     // First: does this transmission resolve a pending expectation?
@@ -81,21 +130,17 @@ void ForwardingWatchdog::observe(const net::CapturedPacket& pkt,
     if (dis.wpan->dst.isBroadcast() || pending_.size() >= config_.maxPending) {
       return;
     }
-    std::string receiver = dis.linkDest();
+    const net::EntityRef receiver = dis.linkDestRef();
     if (receiver == ctpRoot) return;
-    Pending p;
-    p.seen = now;
-    p.forwarder = std::move(receiver);
-    p.payloadHash = payloadHash;
-    p.fp = fingerprint(data.origin.value, data.seqno, BytesView(data.payload));
-    p.originEntity = net::toString(data.origin);
-    expect(key, std::move(p));
+    expect(key, Pending{now, receiver, data.origin, payloadHash,
+                        fingerprint(data.origin.value, data.seqno,
+                                    BytesView(data.payload))});
     return;
   }
 
   if (dis.zigbee && dis.wpan) {
     const net::ZigbeeNwkFrameView& nwk = *dis.zigbee;
-    const std::string key = zigbeeKey(nwk.src.value, nwk.seq);
+    const std::uint32_t key = unitKey(kZigbeeFamily, nwk.src.value, nwk.seq);
     const std::uint64_t payloadHash = fnv1a64(BytesView(nwk.payload));
 
     resolve(key, dis.linkSourceRef(), payloadHash, now);
@@ -103,87 +148,95 @@ void ForwardingWatchdog::observe(const net::CapturedPacket& pkt,
     // Forwarding expected when the link receiver is not the NWK destination.
     if (!dis.wpan->dst.isBroadcast() && !nwk.dst.isBroadcast() &&
         dis.wpan->dst != nwk.dst && pending_.size() < config_.maxPending) {
-      Pending p;
-      p.seen = now;
-      p.forwarder = dis.linkDest();
-      p.payloadHash = payloadHash;
-      p.fp = fingerprint(nwk.src.value, nwk.seq, BytesView(nwk.payload));
-      p.originEntity = net::toString(nwk.src);
-      expect(key, std::move(p));
+      expect(key, Pending{now, dis.linkDestRef(), nwk.src, payloadHash,
+                          fingerprint(nwk.src.value, nwk.seq,
+                                      BytesView(nwk.payload))});
     }
   }
 }
 
-void ForwardingWatchdog::resolve(const std::string& key,
+void ForwardingWatchdog::resolve(std::uint32_t key,
                                  const net::EntityRef& sender,
                                  std::uint64_t newPayloadHash, SimTime now) {
   auto it = pending_.find(key);
   if (it == pending_.end()) return;
-  std::string bySender = sender.toString();
-  if (it->second.forwarder != bySender) return;  // someone else's copy
-  if (newPayloadHash != it->second.payloadHash) {
-    alterations_.push_back(AlterationEvent{bySender, now,
-                                           it->second.originEntity,
-                                           it->second.payloadHash,
-                                           newPayloadHash});
+  const Pending& p = it->second;
+  if (p.forwarder != sender) return;  // someone else's copy
+  if (newPayloadHash != p.payloadHash) {
+    alterations_.push_back(AlterationEvent{sender.toString(), now,
+                                           net::toString(p.origin),
+                                           p.payloadHash, newPayloadHash});
   }
-  addVerdict(bySender, Verdict{now, false, it->second.fp});
+  addVerdict(sender, Verdict{now, false, p.fp});
   retire(it);
 }
 
 void ForwardingWatchdog::expire(SimTime now) {
+  if (now < earliestDeadline_) return;
+  auto& due = dueScratch();
+  SimTime earliest = kSimTimeMax;
   for (auto it = pending_.begin(); it != pending_.end();) {
-    if (now >= it->second.seen + config_.timeout) {
-      addVerdict(it->second.forwarder, Verdict{now, true, it->second.fp});
+    const SimTime deadline = it->second.seen + config_.timeout;
+    if (now >= deadline) {
+      due.push_back(Due{it->first, it->second.forwarder, it->second.fp});
       it = retire(it);
     } else {
+      earliest = std::min(earliest, deadline);
       ++it;
     }
   }
+  earliestDeadline_ = earliest;
+  if (due.size() > 1) {
+    std::sort(due.begin(), due.end(), [](const Due& a, const Due& b) {
+      return keyTextLess(a.key, b.key);
+    });
+  }
+  for (const Due& d : due) addVerdict(d.forwarder, Verdict{now, true, d.fp});
+  due.clear();
 }
 
-void ForwardingWatchdog::addVerdict(const std::string& entity, Verdict v) {
-  auto& deque = verdicts_[entity];
-  deque.push_back(v);
-  evict(deque, v.time);
+void ForwardingWatchdog::addVerdict(const net::EntityRef& entity, Verdict v) {
+  VerdictRing& verdicts = verdicts_.tryEmplace(entity).first->value;
+  verdicts.pushBack(v);
+  evict(verdicts, v.time);
 }
 
-void ForwardingWatchdog::evict(std::deque<Verdict>& verdicts,
-                               SimTime now) const {
+void ForwardingWatchdog::evict(VerdictRing& verdicts, SimTime now) const {
   const SimTime cutoff = now > config_.window ? now - config_.window : 0;
-  while (!verdicts.empty() && verdicts.front().time <= cutoff) {
-    verdicts.pop_front();
-  }
+  while (!verdicts.empty() && verdicts[0].time <= cutoff) verdicts.popFront();
 }
 
-std::size_t ForwardingWatchdog::samples(const std::string& entity,
+std::size_t ForwardingWatchdog::samples(const net::EntityRef& entity,
                                         SimTime now) {
-  auto it = verdicts_.find(entity);
-  if (it == verdicts_.end()) return 0;
-  evict(it->second, now);
-  return it->second.size();
+  auto* entry = verdicts_.find(entity);
+  if (entry == nullptr) return 0;
+  evict(entry->value, now);
+  return entry->value.size();
 }
 
-double ForwardingWatchdog::dropRatio(const std::string& entity, SimTime now) {
-  auto it = verdicts_.find(entity);
-  if (it == verdicts_.end()) return 0.0;
-  evict(it->second, now);
-  if (it->second.empty()) return 0.0;
+double ForwardingWatchdog::dropRatio(const net::EntityRef& entity,
+                                     SimTime now) {
+  auto* entry = verdicts_.find(entity);
+  if (entry == nullptr) return 0.0;
+  const VerdictRing& verdicts = entry->value;
+  evict(entry->value, now);
+  if (verdicts.empty()) return 0.0;
   std::size_t dropped = 0;
-  for (const Verdict& v : it->second) {
-    if (v.dropped) ++dropped;
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
+    if (verdicts[i].dropped) ++dropped;
   }
-  return static_cast<double>(dropped) / static_cast<double>(it->second.size());
+  return static_cast<double>(dropped) / static_cast<double>(verdicts.size());
 }
 
 std::vector<std::uint64_t> ForwardingWatchdog::droppedFingerprints(
-    const std::string& entity, SimTime now) {
+    const net::EntityRef& entity, SimTime now) {
   std::vector<std::uint64_t> fps;
-  auto it = verdicts_.find(entity);
-  if (it == verdicts_.end()) return fps;
-  evict(it->second, now);
-  for (const Verdict& v : it->second) {
-    if (v.dropped) fps.push_back(v.fp);
+  auto* entry = verdicts_.find(entity);
+  if (entry == nullptr) return fps;
+  const VerdictRing& verdicts = entry->value;
+  evict(entry->value, now);
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
+    if (verdicts[i].dropped) fps.push_back(verdicts[i].fp);
   }
   return fps;
 }
@@ -196,13 +249,15 @@ ForwardingWatchdog::drainAlterations() {
 }
 
 std::size_t ForwardingWatchdog::memoryBytes() const {
-  std::size_t bytes = sizeof(*this);
+  std::size_t bytes = sizeof(*this) - sizeofExcess();
+  char text[kMaxKeyText];
   for (const auto& [key, p] : pending_) {
-    bytes += key.size() + sizeof(Pending) + p.forwarder.size();
+    bytes += keyText(key, text).size() + sizeof(StringKeyedPending) +
+             p.forwarder.toString().size();
   }
-  for (const auto& [entity, deque] : verdicts_) {
-    bytes += entity.size() + deque.size() * sizeof(Verdict) + 32;
-  }
+  verdicts_.forEachUnordered([&](const VerdictMap::Entry& entry) {
+    bytes += entry.label.size() + entry.value.size() * sizeof(Verdict) + 32;
+  });
   return bytes;
 }
 

@@ -4,12 +4,6 @@
 
 namespace kalis::ids {
 
-namespace {
-std::string rootFromKb(const KnowledgeBase& kb) {
-  return kb.local(labels::kCtpRoot).value_or("");
-}
-}  // namespace
-
 // --- SelectiveForwardingModule -------------------------------------------------
 
 void SelectiveForwardingModule::configure(
@@ -31,24 +25,25 @@ void SelectiveForwardingModule::onPacket(const net::CapturedPacket& pkt,
                                          const net::Dissection& dis,
                                          ModuleContext& ctx) {
   if (ForwardingWatchdog::follows(dis)) {
-    watchdog_.observe(pkt, dis, rootFromKb(ctx.kb));
+    watchdog_.observe(pkt, dis, ForwardingWatchdog::ctpRoot(ctx.kb));
   }
   watchdog_.expire(ctx.now);
 }
 
 void SelectiveForwardingModule::onTick(ModuleContext& ctx) {
   watchdog_.expire(ctx.now);
-  watchdog_.forEachForwarder(ctx.now, [&](const std::string& entity) {
+  watchdog_.forEachForwarder(ctx.now, [&](const net::EntityRef& entity,
+                                          const std::string& label) {
     const std::size_t n = watchdog_.samples(entity, ctx.now);
     if (n < minSamples_) return;
     const double ratio = watchdog_.dropRatio(entity, ctx.now);
     if (ratio < lowThresh_ || ratio >= highThresh_) return;
-    if (!shouldAlert(entity, ctx.now, cooldown_)) return;
+    if (!shouldAlert(label, ctx.now, cooldown_)) return;
     Alert alert;
     alert.type = AttackType::kSelectiveForwarding;
     alert.time = ctx.now;
     alert.moduleName = name();
-    alert.suspectEntities.push_back(entity);
+    alert.suspectEntities.push_back(label);
     alert.detail = "drop ratio " + formatDouble(ratio) + " over " +
                    std::to_string(n) + " forwarding opportunities";
     ctx.raiseAlert(std::move(alert));
@@ -72,14 +67,15 @@ void BlackholeModule::configure(
 void BlackholeModule::onPacket(const net::CapturedPacket& pkt,
                                const net::Dissection& dis, ModuleContext& ctx) {
   if (ForwardingWatchdog::follows(dis)) {
-    watchdog_.observe(pkt, dis, rootFromKb(ctx.kb));
+    watchdog_.observe(pkt, dis, ForwardingWatchdog::ctpRoot(ctx.kb));
   }
   watchdog_.expire(ctx.now);
 }
 
 void BlackholeModule::onTick(ModuleContext& ctx) {
   watchdog_.expire(ctx.now);
-  watchdog_.forEachForwarder(ctx.now, [&](const std::string& entity) {
+  watchdog_.forEachForwarder(ctx.now, [&](const net::EntityRef& entity,
+                                          const std::string& label) {
     const std::size_t n = watchdog_.samples(entity, ctx.now);
     if (n < minSamples_) return;
     const double ratio = watchdog_.dropRatio(entity, ctx.now);
@@ -94,14 +90,14 @@ void BlackholeModule::onTick(ModuleContext& ctx) {
       if (i) csv << ",";
       csv << std::hex << fps[i];
     }
-    ctx.kb.put(labels::kWormholeDrops, csv.str(), entity, /*collective=*/true);
+    ctx.kb.put(labels::kWormholeDrops, csv.str(), label, /*collective=*/true);
 
-    if (!shouldAlert(entity, ctx.now, cooldown_)) return;
+    if (!shouldAlert(label, ctx.now, cooldown_)) return;
     Alert alert;
     alert.type = AttackType::kBlackhole;
     alert.time = ctx.now;
     alert.moduleName = name();
-    alert.suspectEntities.push_back(entity);
+    alert.suspectEntities.push_back(label);
     alert.detail = "drop ratio " + formatDouble(ratio) + " over " +
                    std::to_string(n) + " forwarding opportunities";
     ctx.raiseAlert(std::move(alert));

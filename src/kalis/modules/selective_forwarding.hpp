@@ -43,7 +43,8 @@ class SelectiveForwardingModule final : public DetectionModule {
 
   std::uint32_t workUnitsPerPacket() const override { return 3; }
   std::size_t memoryBytes() const override {
-    return sizeof(*this) + watchdog_.memoryBytes() + alertStateBytes();
+    return sizeof(*this) - ForwardingWatchdog::sizeofExcess() +
+           watchdog_.memoryBytes() + alertStateBytes();
   }
 
  private:
@@ -73,7 +74,8 @@ class BlackholeModule final : public DetectionModule {
 
   std::uint32_t workUnitsPerPacket() const override { return 3; }
   std::size_t memoryBytes() const override {
-    return sizeof(*this) + watchdog_.memoryBytes() + alertStateBytes();
+    return sizeof(*this) - ForwardingWatchdog::sizeofExcess() +
+           watchdog_.memoryBytes() + alertStateBytes();
   }
 
  private:

@@ -17,6 +17,18 @@ const std::string& frequencyLabel(std::size_t typeIdx) {
   return table[typeIdx];
 }
 
+/// Puts `rate` unless `count`, the window count behind it, equals the count
+/// behind the rate last put: an equal count gives the same double, hence
+/// the same knowgget value, and that put would change nothing. A put while
+/// the KB ignores writes is not counted as published.
+void publishRate(KnowledgeBase& kb, const std::string& label,
+                 std::string_view entity, std::size_t count, double rate,
+                 std::size_t& publishedCount) {
+  if (count == publishedCount || rate <= 0.0) return;
+  kb.put(label, rate, entity);
+  if (kb.writesEnabled()) publishedCount = count;
+}
+
 }  // namespace
 
 TrafficStatsModule::TrafficStatsModule() {
@@ -33,6 +45,7 @@ void TrafficStatsModule::configure(
       for (auto& counter : global_) {
         counter = std::make_unique<SlidingCounter>(window_);
       }
+      globalPublished_.fill(0);
       for (auto& m : perDevice_) m.clear();
     }
   }
@@ -90,8 +103,8 @@ void TrafficStatsModule::onPacket(const net::CapturedPacket& pkt,
   // tryEmplace builds a counter only for a target not seen before.
   net::EntityRef target = dis.networkDestRef();
   if (!target.valid()) target = dis.linkDestRef();
-  auto [entry, inserted] = perDevice_[typeIdx].tryEmplace(target, window_);
-  entry->value.record(ctx.now);
+  auto [entry, inserted] = perDevice_[typeIdx].tryEmplace(target);
+  entry->value.times.record(ctx.now, window_);
 
   if (const char* proto = protocolOf(dis)) {
     if (protocolsSeen_.find(std::string_view(proto)) == protocolsSeen_.end()) {
@@ -104,14 +117,17 @@ void TrafficStatsModule::onPacket(const net::CapturedPacket& pkt,
 void TrafficStatsModule::onTick(ModuleContext& ctx) {
   lastNow_ = ctx.now;
   for (std::size_t i = 0; i < global_.size(); ++i) {
-    const double rate = global_[i]->rate(ctx.now);
-    if (rate > 0.0) ctx.kb.put(frequencyLabel(i), rate);
+    SlidingCounter& counter = *global_[i];
+    publishRate(ctx.kb, frequencyLabel(i), {}, counter.count(ctx.now),
+                counter.rate(ctx.now), globalPublished_[i]);
   }
   for (std::size_t i = 0; i < perDevice_.size(); ++i) {
     perDevice_[i].forEachOrdered(
-        [&](EntityKeyedMap<SlidingCounter>::Entry& entry) {
-          const double rate = entry.value.rate(ctx.now);
-          if (rate > 0.0) ctx.kb.put(frequencyLabel(i), rate, entry.label);
+        [&](EntityKeyedMap<DeviceCounter>::Entry& entry) {
+          SlidingTimes& times = entry.value.times;
+          publishRate(ctx.kb, frequencyLabel(i), entry.label,
+                      times.count(ctx.now, window_),
+                      times.rate(ctx.now, window_), entry.value.publishedCount);
         });
   }
 }
@@ -122,19 +138,23 @@ double TrafficStatsModule::globalRate(net::PacketType type, SimTime now) {
 
 double TrafficStatsModule::deviceRate(net::PacketType type,
                                       const std::string& entity, SimTime now) {
-  auto* entry = const_cast<EntityKeyedMap<SlidingCounter>::Entry*>(
+  auto* entry = const_cast<EntityKeyedMap<DeviceCounter>::Entry*>(
       perDevice_[static_cast<std::size_t>(type)].findByLabel(entity));
   if (!entry) return 0.0;
-  return entry->value.rate(now);
+  return entry->value.times.rate(now, window_);
 }
 
 std::size_t TrafficStatsModule::memoryBytes() const {
-  std::size_t bytes = sizeof(*this);
+  // The published counts only mirror what the KB already holds; the RAM
+  // proxy leaves them out, so recorded state sizes do not move with them.
+  // A DeviceCounter takes no more room than the SlidingCounter it replaced.
+  static_assert(sizeof(DeviceCounter) == sizeof(SlidingCounter));
+  std::size_t bytes = sizeof(*this) - sizeof(globalPublished_);
   for (const auto& counter : global_) bytes += counter->memoryBytes();
   for (const auto& m : perDevice_) {
     bytes += m.entryOverheadBytes();
-    m.forEachUnordered([&](const EntityKeyedMap<SlidingCounter>::Entry& e) {
-      bytes += e.value.memoryBytes() + 32;
+    m.forEachUnordered([&](const EntityKeyedMap<DeviceCounter>::Entry& e) {
+      bytes += e.value.times.memoryBytes() + 32;
     });
   }
   return bytes;

@@ -44,12 +44,21 @@ class TrafficStatsModule final : public SensingModule {
  private:
   static const char* protocolOf(const net::Dissection& dis);
 
+  /// A target's traffic over window_, and the window count behind the rate
+  /// this module last put for it (0: none yet).
+  struct DeviceCounter {
+    SlidingTimes times;
+    std::size_t publishedCount = 0;
+  };
+
   Duration window_ = seconds(5);
   std::array<std::unique_ptr<SlidingCounter>, net::kNumPacketTypes> global_;
+  /// Window count behind each global rate last put (0: none yet).
+  std::array<std::size_t, net::kNumPacketTypes> globalPublished_{};
   // Per-device counters: one entity-keyed map per traffic type, created on
   // demand. Iterating type-major then label-ascending reproduces the old
   // std::map<std::pair<int, std::string>, ...> publication order exactly.
-  std::array<EntityKeyedMap<SlidingCounter>, net::kNumPacketTypes> perDevice_;
+  std::array<EntityKeyedMap<DeviceCounter>, net::kNumPacketTypes> perDevice_;
   std::map<std::string, bool, std::less<>> protocolsSeen_;
   SimTime lastNow_ = 0;
 };

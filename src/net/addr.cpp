@@ -1,15 +1,36 @@
 #include "net/addr.hpp"
 
-#include <cstdio>
-
 #include "util/strings.hpp"
 
 namespace kalis::net {
 
+// Address labels are knowgget entities and alert fields, formatted often
+// enough that a printf parse per call shows in profiles. These writers emit
+// exactly what "%02x" / "%04x" / "%u" would.
+namespace {
+
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+char* putHex8(char* out, std::uint8_t v) {
+  *out++ = kHexDigits[v >> 4];
+  *out++ = kHexDigits[v & 0xf];
+  return out;
+}
+
+char* putDecimal8(char* out, std::uint8_t v) {
+  if (v >= 100) *out++ = static_cast<char>('0' + v / 100);
+  if (v >= 10) *out++ = static_cast<char>('0' + v / 10 % 10);
+  *out++ = static_cast<char>('0' + v % 10);
+  return out;
+}
+
+}  // namespace
+
 std::string toString(Mac16 a) {
-  char buf[8];
-  std::snprintf(buf, sizeof buf, "0x%04x", a.value);
-  return buf;
+  char buf[6] = {'0', 'x'};
+  putHex8(putHex8(buf + 2, static_cast<std::uint8_t>(a.value >> 8)),
+          static_cast<std::uint8_t>(a.value & 0xff));
+  return std::string(buf, sizeof buf);
 }
 
 std::optional<Mac16> parseMac16(std::string_view s) {
@@ -42,10 +63,13 @@ bool Mac48::isBroadcast() const {
 }
 
 std::string toString(const Mac48& a) {
-  char buf[18];
-  std::snprintf(buf, sizeof buf, "%02x:%02x:%02x:%02x:%02x:%02x", a.bytes[0],
-                a.bytes[1], a.bytes[2], a.bytes[3], a.bytes[4], a.bytes[5]);
-  return buf;
+  char buf[17];
+  char* p = buf;
+  for (std::size_t i = 0; i < a.bytes.size(); ++i) {
+    if (i) *p++ = ':';
+    p = putHex8(p, a.bytes[i]);
+  }
+  return std::string(buf, sizeof buf);
 }
 
 std::optional<Mac48> parseMac48(std::string_view s) {
@@ -70,10 +94,13 @@ std::optional<Mac48> parseMac48(std::string_view s) {
 }
 
 std::string toString(Ipv4Addr a) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (a.value >> 24) & 0xff,
-                (a.value >> 16) & 0xff, (a.value >> 8) & 0xff, a.value & 0xff);
-  return buf;
+  char buf[15];
+  char* p = buf;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    if (shift != 24) *p++ = '.';
+    p = putDecimal8(p, static_cast<std::uint8_t>(a.value >> shift));
+  }
+  return std::string(buf, p);
 }
 
 std::optional<Ipv4Addr> parseIpv4(std::string_view s) {
@@ -115,14 +142,13 @@ std::optional<Mac16> Ipv6Addr::embeddedShort() const {
 }
 
 std::string toString(const Ipv6Addr& a) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf,
-                "%02x%02x:%02x%02x:%02x%02x:%02x%02x:%02x%02x:%02x%02x:%02x%02x:%02x%02x",
-                a.bytes[0], a.bytes[1], a.bytes[2], a.bytes[3], a.bytes[4],
-                a.bytes[5], a.bytes[6], a.bytes[7], a.bytes[8], a.bytes[9],
-                a.bytes[10], a.bytes[11], a.bytes[12], a.bytes[13], a.bytes[14],
-                a.bytes[15]);
-  return buf;
+  char buf[39];
+  char* p = buf;
+  for (std::size_t i = 0; i < a.bytes.size(); i += 2) {
+    if (i) *p++ = ':';
+    p = putHex8(putHex8(p, a.bytes[i]), a.bytes[i + 1]);
+  }
+  return std::string(buf, sizeof buf);
 }
 
 }  // namespace kalis::net

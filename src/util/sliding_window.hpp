@@ -15,44 +15,66 @@
 
 namespace kalis {
 
+/// Timestamped occurrences within a trailing window the caller passes on
+/// every call: the storage of SlidingCounter, for owners that keep many
+/// counters over one window and need not store it in each.
+class SlidingTimes {
+ public:
+  void record(SimTime t, Duration window) {
+    evict(t, window);
+    times_.push_back(t);
+  }
+
+  /// Number of events in (now - window, now].
+  std::size_t count(SimTime now, Duration window) {
+    evict(now, window);
+    return times_.size();
+  }
+
+  /// Events per second over the window.
+  double rate(SimTime now, Duration window) {
+    evict(now, window);
+    if (window == 0) return 0.0;
+    return static_cast<double>(times_.size()) / toSeconds(window);
+  }
+
+  void clear() { times_.clear(); }
+
+  /// Approximate live memory footprint, for the RAM accounting proxy.
+  std::size_t memoryBytes() const { return times_.size() * sizeof(SimTime); }
+
+ private:
+  void evict(SimTime now, Duration window) {
+    const SimTime cutoff = now > window ? now - window : 0;
+    while (!times_.empty() && times_.front() <= cutoff) times_.pop_front();
+  }
+
+  std::deque<SimTime> times_;
+};
+
 /// Counts timestamped occurrences within a fixed-duration trailing window.
 class SlidingCounter {
  public:
   explicit SlidingCounter(Duration window) : window_(window) {}
 
-  void record(SimTime t) {
-    evict(t);
-    times_.push_back(t);
-  }
+  void record(SimTime t) { times_.record(t, window_); }
 
   /// Number of events in (now - window, now].
-  std::size_t count(SimTime now) {
-    evict(now);
-    return times_.size();
-  }
+  std::size_t count(SimTime now) { return times_.count(now, window_); }
 
   /// Events per second over the window.
-  double rate(SimTime now) {
-    evict(now);
-    if (window_ == 0) return 0.0;
-    return static_cast<double>(times_.size()) / toSeconds(window_);
-  }
+  double rate(SimTime now) { return times_.rate(now, window_); }
 
   void clear() { times_.clear(); }
 
   Duration window() const { return window_; }
 
   /// Approximate live memory footprint, for the RAM accounting proxy.
-  std::size_t memoryBytes() const { return times_.size() * sizeof(SimTime); }
+  std::size_t memoryBytes() const { return times_.memoryBytes(); }
 
  private:
-  void evict(SimTime now) {
-    const SimTime cutoff = now > window_ ? now - window_ : 0;
-    while (!times_.empty() && times_.front() <= cutoff) times_.pop_front();
-  }
-
   Duration window_;
-  std::deque<SimTime> times_;
+  SlidingTimes times_;
 };
 
 /// Keeps (time, value) samples within a trailing window with an O(1) sum.

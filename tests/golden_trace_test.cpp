@@ -1,6 +1,7 @@
 // Golden SIEM-trace regression tests (DESIGN.md §9): the committed files in
 // tests/golden/ hold the exact SIEM JSON stream of one reference scenario
-// and one pipeline trace-replay run. Any byte of drift — alert content,
+// and one pipeline trace-replay run, plus the full Knowledge Base, SIEM
+// stream and RAM proxy of a forwarding-attack WSN replay. Any byte of drift — alert content,
 // ordering, JSON shape, timestamping — fails the test.
 //
 // Regenerating after an INTENDED output change:
@@ -17,8 +18,11 @@
 #include <string>
 #include <vector>
 
+#include "attacks/forwarding_attacks.hpp"
+#include "kalis/kalis_node.hpp"
 #include "kalis/siem_export.hpp"
 #include "scenarios/chaos_workload.hpp"
+#include "scenarios/environments.hpp"
 #include "scenarios/scenarios.hpp"
 
 namespace kalis {
@@ -76,6 +80,57 @@ TEST(GoldenTrace, PipelineTraceReplaySiemStream) {
       scenarios::runTraceReplayWorkload(21, nullptr, 0);
   ASSERT_FALSE(out.siemLines.empty());
   checkGolden("trace_replay_pipeline_seed21.siem.jsonl", out.siemLines);
+}
+
+/// CTP capture at the IDS mote of a five-mote chain. The two-hop relay
+/// drops half of what it forwards for the first minute (selective
+/// forwarding) and everything after (blackhole); the three-hop relay
+/// rewrites every payload it forwards (data alteration).
+std::vector<net::CapturedPacket> captureWatchdogWsn(std::uint64_t seed) {
+  sim::Simulator simulator(seed);
+  sim::World world(simulator);
+  const scenarios::Wsn wsn = scenarios::buildWsn(world, 5, seconds(3));
+  sim::CtpAgent* dropper = wsn.moteAgents[1];
+  dropper->setForwardPolicy(std::make_shared<attacks::SelectiveForwardPolicy>(
+      0.5, ids::AttackType::kSelectiveForwarding, nullptr));
+  simulator.at(seconds(60), [dropper] {
+    dropper->setForwardPolicy(std::make_shared<attacks::SelectiveForwardPolicy>(
+        1.0, ids::AttackType::kBlackhole, nullptr));
+  });
+  wsn.moteAgents[2]->setForwardPolicy(
+      std::make_shared<attacks::AlteringForwardPolicy>(nullptr));
+  std::vector<net::CapturedPacket> captured;
+  world.addSniffer(wsn.ids, net::Medium::kIeee802154,
+                   [&](const net::CapturedPacket& pkt, const net::Dissection&) {
+                     captured.push_back(pkt);
+                   });
+  world.start();
+  simulator.runUntil(seconds(120));
+  return captured;
+}
+
+// Pins the forwarding watchdog's observable state end to end: every
+// knowgget (Wormhole.Drops carries the dropped units' fingerprints in
+// verdict order), the SIEM stream and the RAM proxy.
+TEST(GoldenTrace, WsnWatchdogKnowledgeDump) {
+  const std::vector<net::CapturedPacket> capture = captureWatchdogWsn(7);
+  ASSERT_FALSE(capture.empty());
+  sim::Simulator simulator(7);
+  ids::KalisNode node(simulator);
+  node.useStandardLibrary();
+  node.start();
+  for (const net::CapturedPacket& pkt : capture) node.replayFeed(pkt);
+
+  std::vector<std::string> lines;
+  for (const ids::Knowgget& k : node.kb().all()) {
+    lines.push_back(ids::encodeKey(k.creator, k.label, k.entity) + "=" +
+                    k.value);
+  }
+  for (const ids::Alert& alert : node.alerts()) {
+    lines.push_back(ids::toSiemJson(alert));
+  }
+  lines.push_back("memoryBytes=" + std::to_string(node.memoryBytes()));
+  checkGolden("wsn_watchdog_kb_seed7.txt", lines);
 }
 
 }  // namespace

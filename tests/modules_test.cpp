@@ -188,6 +188,74 @@ TEST(TrafficStats, PublishesGlobalAndPerDeviceRates) {
   EXPECT_NEAR(*perVictim, 2.0, 0.01);
 }
 
+TEST(TrafficStats, PublishedRateNeverStale) {
+  // After every tick, each nonzero rate's knowgget holds the counter's
+  // current rate — also after the window changes, when equal counts give
+  // different rates.
+  ModuleHarness h;
+  TrafficStatsModule module;
+  const auto checkPublished = [&](SimTime now) {
+    for (std::size_t i = 0; i < net::kNumPacketTypes; ++i) {
+      const auto type = static_cast<net::PacketType>(i);
+      const std::string label =
+          std::string(labels::kTrafficFrequency) + "." + net::packetTypeName(type);
+      const double global = module.globalRate(type, now);
+      if (global > 0.0) {
+        EXPECT_EQ(h.kb.local(label), formatDouble(global)) << label;
+      }
+      for (const char* entity : {"10.0.0.2", "10.0.0.3"}) {
+        const double device = module.deviceRate(type, entity, now);
+        if (device > 0.0) {
+          EXPECT_EQ(h.kb.local(label, entity), formatDouble(device))
+              << label << "@" << entity;
+        }
+      }
+    }
+  };
+  const auto burst = [&](SimTime start, int packets) {
+    for (int i = 0; i < packets; ++i) {
+      const net::Ipv4Addr victim{i % 3 == 0 ? 0x0a000003u : 0x0a000002u};
+      h.feed(module, icmpPacket(kAttackerMac, net::Ipv4Addr{1}, victim,
+                                net::IcmpType::kEchoRequest,
+                                start + i * milliseconds(100)));
+    }
+  };
+  SimTime now = 0;
+  for (int round = 0; round < 3; ++round) {
+    // A burst, then ticks while it ages out of the 5 s window: counts rise,
+    // hold steady, fall and return to values already published.
+    burst(now, 6 + 2 * round);
+    for (int t = 0; t < 7; ++t) {
+      now += seconds(1);
+      h.tick(module, now);
+      checkPublished(now);
+    }
+  }
+  // Six packets publish 6 / 5 s; after the window shrinks to 2 s, the same
+  // count must republish as 6 / 2 s.
+  burst(now, 6);
+  now += seconds(1);
+  h.tick(module, now);
+  checkPublished(now);
+  EXPECT_NEAR(*h.kb.local<double>("TrafficFrequency.ICMPEchoReq"), 1.2, 0.01);
+  module.configure({{"windowSeconds", "2"}});
+  burst(now, 6);
+  now += seconds(1);
+  h.tick(module, now);
+  checkPublished(now);
+  EXPECT_NEAR(*h.kb.local<double>("TrafficFrequency.ICMPEchoReq"), 3.0, 0.01);
+  // A put the KB ignored is not published: once writes resume, the same
+  // ten packets are put.
+  h.kb.setWritesEnabled(false);
+  burst(now, 4);
+  h.tick(module, now + milliseconds(500));
+  h.kb.setWritesEnabled(true);
+  now += milliseconds(600);
+  h.tick(module, now);
+  checkPublished(now);
+  EXPECT_NEAR(*h.kb.local<double>("TrafficFrequency.ICMPEchoReq"), 5.0, 0.01);
+}
+
 TEST(TrafficStats, RatesQueryable) {
   ModuleHarness h;
   TrafficStatsModule module;
@@ -405,39 +473,55 @@ TEST(SynFlood, BenignHandshakesDontAlert) {
 
 // --- ForwardingWatchdog -----------------------------------------------------------------------------
 
+constexpr net::EntityRef kRoot = net::EntityRef::of(net::Mac16{1});
+constexpr net::EntityRef kRelay3 = net::EntityRef::of(net::Mac16{3});
+
 TEST(Watchdog, ForwardedPacketsResolveCleanly) {
   ForwardingWatchdog watchdog;
   // 4 -> 3 (handoff), then 3 -> 2 (forward with THL+1).
   const auto handoff = ctpDataPacket(net::Mac16{4}, net::Mac16{3},
                                      net::Mac16{4}, 1, 0, seconds(1));
-  watchdog.observe(handoff, net::dissect(handoff), "0x0001");
+  watchdog.observe(handoff, net::dissect(handoff), kRoot);
   const auto forward = ctpDataPacket(net::Mac16{3}, net::Mac16{2},
                                      net::Mac16{4}, 1, 1,
                                      seconds(1) + milliseconds(50));
-  watchdog.observe(forward, net::dissect(forward), "0x0001");
+  watchdog.observe(forward, net::dissect(forward), kRoot);
   watchdog.expire(seconds(3));
-  EXPECT_EQ(watchdog.samples("0x0003", seconds(3)), 1u);
-  EXPECT_DOUBLE_EQ(watchdog.dropRatio("0x0003", seconds(3)), 0.0);
+  EXPECT_EQ(watchdog.samples(kRelay3, seconds(3)), 1u);
+  EXPECT_DOUBLE_EQ(watchdog.dropRatio(kRelay3, seconds(3)), 0.0);
 }
 
 TEST(Watchdog, TimeoutBecomesDrop) {
   ForwardingWatchdog watchdog;
   const auto handoff = ctpDataPacket(net::Mac16{4}, net::Mac16{3},
                                      net::Mac16{4}, 1, 0, seconds(1));
-  watchdog.observe(handoff, net::dissect(handoff), "0x0001");
+  watchdog.observe(handoff, net::dissect(handoff), kRoot);
   watchdog.expire(seconds(3));
-  EXPECT_EQ(watchdog.samples("0x0003", seconds(3)), 1u);
-  EXPECT_DOUBLE_EQ(watchdog.dropRatio("0x0003", seconds(3)), 1.0);
-  EXPECT_EQ(watchdog.droppedFingerprints("0x0003", seconds(3)).size(), 1u);
+  EXPECT_EQ(watchdog.samples(kRelay3, seconds(3)), 1u);
+  EXPECT_DOUBLE_EQ(watchdog.dropRatio(kRelay3, seconds(3)), 1.0);
+  EXPECT_EQ(watchdog.droppedFingerprints(kRelay3, seconds(3)).size(), 1u);
 }
 
 TEST(Watchdog, RootIsNeverExpectedToForward) {
   ForwardingWatchdog watchdog;
   const auto toRoot = ctpDataPacket(net::Mac16{2}, net::Mac16{1},
                                     net::Mac16{4}, 1, 2, seconds(1));
-  watchdog.observe(toRoot, net::dissect(toRoot), "0x0001");
+  watchdog.observe(toRoot, net::dissect(toRoot), kRoot);
   watchdog.expire(seconds(5));
-  EXPECT_EQ(watchdog.samples("0x0001", seconds(5)), 0u);
+  EXPECT_EQ(watchdog.samples(kRoot, seconds(5)), 0u);
+}
+
+TEST(Watchdog, CtpRootReadsOnlyTheLabelForm) {
+  // Only a string that equals some receiver's label can name the root.
+  KnowledgeBase kb("K1");
+  EXPECT_EQ(ForwardingWatchdog::ctpRoot(kb), net::EntityRef::none());
+  kb.put(labels::kCtpRoot, "0x00ab");
+  EXPECT_EQ(ForwardingWatchdog::ctpRoot(kb),
+            net::EntityRef::of(net::Mac16{0x00ab}));
+  for (const char* other : {"0x00AB", "0X00ab", "00ab", "0xab", " 0x00ab"}) {
+    kb.put(labels::kCtpRoot, other);
+    EXPECT_EQ(ForwardingWatchdog::ctpRoot(kb), net::EntityRef::none()) << other;
+  }
 }
 
 TEST(Watchdog, PayloadTamperingCaught) {
@@ -445,17 +529,51 @@ TEST(Watchdog, PayloadTamperingCaught) {
   const auto handoff = ctpDataPacket(net::Mac16{4}, net::Mac16{3},
                                      net::Mac16{4}, 1, 0, seconds(1),
                                      -60.0, bytesOf("orig"));
-  watchdog.observe(handoff, net::dissect(handoff), "0x0001");
+  watchdog.observe(handoff, net::dissect(handoff), kRoot);
   const auto tampered = ctpDataPacket(net::Mac16{3}, net::Mac16{2},
                                       net::Mac16{4}, 1, 1,
                                       seconds(1) + milliseconds(50), -60.0,
                                       bytesOf("evil"));
-  watchdog.observe(tampered, net::dissect(tampered), "0x0001");
+  watchdog.observe(tampered, net::dissect(tampered), kRoot);
   const auto alterations = watchdog.drainAlterations();
   ASSERT_EQ(alterations.size(), 1u);
   EXPECT_EQ(alterations[0].entity, "0x0003");
   EXPECT_EQ(alterations[0].originEntity, "0x0004");
   EXPECT_TRUE(watchdog.drainAlterations().empty());  // drained
+}
+
+TEST(Watchdog, SimultaneousExpiryKeepsLegacyOrder) {
+  // Five units handed to relay 3 at once and dropped: they time out in one
+  // expire() call, which records them in the order of the watchdog's
+  // original "C<origin>:<seq>" / "Z<src>:<seq>" string keys — "C10:10" <
+  // "C10:9" < "C9:10" < "C9:9" < "Z9:9" — not in numeric or arrival order.
+  ForwardingWatchdog watchdog;
+  const Bytes payload = bytesOf("pp");
+  net::ZigbeeNwkFrame nwk;
+  nwk.src = net::Mac16{9};
+  nwk.dst = net::Mac16{1};
+  nwk.seq = 9;
+  nwk.payload = bytesOf("zz");
+  const auto zigbee = wpanPacket(net::Mac16{4}, net::Mac16{3}, nwk.encode(),
+                                 seconds(1));
+  watchdog.observe(zigbee, net::dissect(zigbee), kRoot);
+  for (std::uint16_t origin : {9, 10}) {
+    for (std::uint8_t seq : {9, 10}) {
+      const auto handoff = ctpDataPacket(net::Mac16{4}, net::Mac16{3},
+                                         net::Mac16{origin}, seq, 0,
+                                         seconds(1));
+      watchdog.observe(handoff, net::dissect(handoff), kRoot);
+    }
+  }
+  watchdog.expire(seconds(3));
+  const auto fp = [&](std::uint16_t origin, std::uint8_t seq) {
+    return ForwardingWatchdog::fingerprint(origin, seq, BytesView(payload));
+  };
+  EXPECT_EQ(watchdog.droppedFingerprints(kRelay3, seconds(3)),
+            (std::vector<std::uint64_t>{fp(10, 10), fp(10, 9), fp(9, 10),
+                                        fp(9, 9),
+                                        ForwardingWatchdog::fingerprint(
+                                            9, 9, BytesView(nwk.payload))}));
 }
 
 TEST(Watchdog, FingerprintStableAcrossSides) {

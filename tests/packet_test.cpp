@@ -3,6 +3,9 @@
 // against truncated/corrupted frames (an IDS's daily diet).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "net/packet.hpp"
 #include "util/rng.hpp"
 
@@ -39,6 +42,40 @@ TEST(Addr, Ipv4RoundTrip) {
   EXPECT_EQ(parseIpv4("10.0.2.7"), addr);
   EXPECT_EQ(parseIpv4("10.0.2.999"), std::nullopt);
   EXPECT_EQ(parseIpv4("10.0.2"), std::nullopt);
+}
+
+TEST(Addr, FormatsMatchPrintf) {
+  const auto printed = [](const char* fmt, auto... args) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, fmt, args...);
+    return std::string(buf);
+  };
+  for (std::uint32_t v = 0; v <= 0xffff; ++v) {
+    ASSERT_EQ(toString(Mac16{static_cast<std::uint16_t>(v)}),
+              printed("0x%04x", v));
+  }
+  Rng rng(0x4d4143);
+  for (int trial = 0; trial < 100000; ++trial) {
+    Mac48 mac;
+    for (auto& byte : mac.bytes) byte = static_cast<std::uint8_t>(rng.nextBelow(256));
+    const auto& b = mac.bytes;
+    ASSERT_EQ(toString(mac),
+              printed("%02x:%02x:%02x:%02x:%02x:%02x", b[0], b[1], b[2], b[3],
+                      b[4], b[5]));
+    const Ipv4Addr ip{static_cast<std::uint32_t>(rng.next())};
+    ASSERT_EQ(toString(ip),
+              printed("%u.%u.%u.%u", (ip.value >> 24) & 0xff,
+                      (ip.value >> 16) & 0xff, (ip.value >> 8) & 0xff,
+                      ip.value & 0xff));
+    Ipv6Addr ip6;
+    for (auto& byte : ip6.bytes) byte = static_cast<std::uint8_t>(rng.nextBelow(256));
+    std::string expected;
+    for (std::size_t i = 0; i < ip6.bytes.size(); i += 2) {
+      expected += printed(i ? ":%02x%02x" : "%02x%02x", ip6.bytes[i],
+                          ip6.bytes[i + 1]);
+    }
+    ASSERT_EQ(toString(ip6), expected);
+  }
 }
 
 TEST(Addr, Ipv6LinkLocalEmbedsShortAddress) {

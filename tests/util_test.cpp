@@ -131,6 +131,28 @@ TEST(Checksum, Crc32KnownVector) {
   EXPECT_EQ(crc32(BytesView(data)), 0xcbf43926u);
 }
 
+TEST(Checksum, Crc32MatchesBytewiseReference) {
+  // The reflected IEEE definition, one byte (eight bits) at a time; crc32
+  // must agree on any length and at any start alignment.
+  const auto reference = [](BytesView data) {
+    std::uint32_t c = 0xffffffffu;
+    for (std::uint8_t byte : data) {
+      c ^= byte;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
+    }
+    return c ^ 0xffffffffu;
+  };
+  Rng rng(0x80211);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t offset = rng.nextBelow(8);
+    Bytes buffer(offset + rng.nextBelow(2001));
+    for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.nextBelow(256));
+    const BytesView data = BytesView(buffer).subspan(offset);
+    ASSERT_EQ(crc32(data), reference(data))
+        << "length " << data.size() << ", offset " << offset;
+  }
+}
+
 TEST(Checksum, Crc16CcittKnownVector) {
   // CRC-16/XMODEM check value: polynomial 0x1021, init 0, no reflection.
   const Bytes data = bytesOf("123456789");
