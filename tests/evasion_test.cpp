@@ -23,6 +23,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/evasion.hpp"
@@ -123,12 +124,20 @@ TEST(EvasionSpec, PresetsNarrowTechniques) {
 }
 
 TEST(EvasionSpec, RejectsMalformedSpecs) {
-  for (const char* bad :
-       {"budget=2", "budget=-0.1", "budget=", "nope=1", "bogus",
-        "full,split-sources=0", "dilute-max=1.5", "budget=0.5,seed=abc"}) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"budget=2", "bad value for 'budget': 2"},
+      {"budget=-0.1", "bad value for 'budget': -0.1"},
+      {"budget=", "bad value for 'budget': "},
+      {"nope=1", "unknown evasion-plan key: nope"},
+      {"bogus", "expected key=value, got: bogus"},
+      {"full,split-sources=0", "bad value for 'split-sources': 0"},
+      {"dilute-max=1.5", "bad value for 'dilute-max': 1.5"},
+      {"budget=0.5,seed=abc", "bad value for 'seed': abc"},
+  };
+  for (const auto& [bad, expected] : cases) {
     std::string error;
     EXPECT_FALSE(ev::EvasionPlan::parse(bad, &error).has_value()) << bad;
-    EXPECT_FALSE(error.empty()) << bad;
+    EXPECT_EQ(error, expected) << bad;
   }
 }
 
