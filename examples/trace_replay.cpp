@@ -50,7 +50,6 @@
 #include <string>
 #include <string_view>
 
-#include "attacks/dos_attacks.hpp"
 #include "chaos/diff_runner.hpp"
 #include "fleet/fleet.hpp"
 #include "chaos/fault_plan.hpp"
@@ -62,7 +61,6 @@
 #include "pipeline/kalis_engine.hpp"
 #include "pipeline/pipeline.hpp"
 #include "scenarios/chaos_workload.hpp"
-#include "scenarios/environments.hpp"
 #include "scenarios/evasion_sweep.hpp"
 #include "util/strings.hpp"
 #include "trace/pcap.hpp"
@@ -226,53 +224,6 @@ std::optional<ReplayOptions> parseReplayOptions(int argc, char** argv) {
     }
   }
   return opt;
-}
-
-/// Runs a live simulation and returns everything a sniffer at the IDS spot
-/// captured. `withAttack` adds the ICMP flood; `plan` optionally breaks the
-/// links while recording.
-trace::Trace captureTrace(std::uint64_t seed, bool withAttack,
-                          metrics::GroundTruth* truth,
-                          const chaos::FaultPlan* plan,
-                          chaos::LinkChaos::Stats* tally) {
-  sim::Simulator simulator(seed);
-  sim::World world(simulator);
-  sim::InternetCloud cloud;
-  scenarios::HomeWifi home = scenarios::buildHomeWifi(world, cloud, seed);
-
-  if (withAttack) {
-    const NodeId attacker =
-        world.addNode("attacker", sim::NodeRole::kGeneric, {18, 16});
-    world.enableRadio(attacker, net::Medium::kWifi);
-    attacks::IcmpFloodAttacker::Config attack;
-    attack.victimIp = world.ipv4Of(home.thermostat);
-    attack.victimMac = world.mac48Of(home.thermostat);
-    attack.bssid = world.mac48Of(home.router);
-    attack.firstBurstAt = seconds(20);
-    attack.burstCount = 4;
-    attack.truth = truth;
-    world.setBehavior(attacker,
-                      std::make_unique<attacks::IcmpFloodAttacker>(attack));
-  }
-
-  trace::Trace captured;
-  world.addSniffer(home.ids, net::Medium::kWifi,
-                   [&](const net::CapturedPacket& pkt,
-                       const net::Dissection& /*dis*/) {
-                     captured.push_back(pkt);
-                   });
-  const auto chaosGuard = chaos::installFaultPlan(world, plan);
-  world.start();
-  simulator.runUntil(seconds(70));
-  if (chaosGuard && tally) {
-    const chaos::LinkChaos::Stats& s = chaosGuard->stats();
-    tally->rxDropped += s.rxDropped;
-    tally->corrupted += s.corrupted;
-    tally->duplicated += s.duplicated;
-    tally->delayed += s.delayed;
-    tally->crashes += s.crashes;
-  }
-  return captured;
 }
 
 /// --chaos-diff: differential verification over the packaged trace_replay
@@ -587,10 +538,10 @@ int main(int argc, char** argv) {
 
   // 1. Record benign traffic and, separately, an attack run.
   const trace::Trace benign =
-      captureTrace(opt.seed, false, nullptr, plan, &chaosTally);
+      scenarios::captureTrace(opt.seed, false, nullptr, plan, &chaosTally);
   metrics::GroundTruth truth;
   const trace::Trace withAttack =
-      captureTrace(opt.seed + 1, true, &truth, plan, &chaosTally);
+      scenarios::captureTrace(opt.seed + 1, true, &truth, plan, &chaosTally);
   std::printf("Recorded %zu benign packets and %zu attack-run packets\n",
               benign.size(), withAttack.size());
   if (plan) {

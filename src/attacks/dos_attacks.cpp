@@ -1,5 +1,6 @@
 #include "attacks/dos_attacks.hpp"
 
+#include "attacks/burst_schedule.hpp"
 #include "net/transport.hpp"
 
 namespace kalis::attacks {
@@ -17,19 +18,12 @@ net::Ipv4Addr spoofAddr(std::size_t i) {
 // --- IcmpFloodAttacker -----------------------------------------------------------
 
 void IcmpFloodAttacker::start(sim::NodeHandle& node) {
-  sim::World& world = node.world();
-  const NodeId id = node.id();
-  for (std::size_t b = 0; b < config_.burstCount; ++b) {
-    const SimTime at = config_.firstBurstAt + b * config_.burstInterval;
-    world.sim().at(at, [this, &world, id, b] {
-      sim::NodeHandle h = world.handle(id);
-      burst(h, b);
-    });
-  }
+  scheduleBursts(node, config_.firstBurstAt, config_.burstInterval,
+                 config_.burstCount,
+                 [this](sim::NodeHandle& h, std::size_t) { burst(h); });
 }
 
-void IcmpFloodAttacker::burst(sim::NodeHandle& node, std::size_t burstIndex) {
-  (void)burstIndex;
+void IcmpFloodAttacker::burst(sim::NodeHandle& node) {
   if (config_.truth) {
     config_.truth->add(node.now(), ids::AttackType::kIcmpFlood,
                        net::toString(config_.victimIp),
@@ -64,19 +58,12 @@ void IcmpFloodAttacker::sendReply(sim::NodeHandle& node, std::size_t i) {
 // --- SmurfAttacker -----------------------------------------------------------------
 
 void SmurfAttacker::start(sim::NodeHandle& node) {
-  sim::World& world = node.world();
-  const NodeId id = node.id();
-  for (std::size_t b = 0; b < config_.burstCount; ++b) {
-    const SimTime at = config_.firstBurstAt + b * config_.burstInterval;
-    world.sim().at(at, [this, &world, id, b] {
-      sim::NodeHandle h = world.handle(id);
-      burst(h, b);
-    });
-  }
+  scheduleBursts(node, config_.firstBurstAt, config_.burstInterval,
+                 config_.burstCount,
+                 [this](sim::NodeHandle& h, std::size_t) { burst(h); });
 }
 
-void SmurfAttacker::burst(sim::NodeHandle& node, std::size_t burstIndex) {
-  (void)burstIndex;
+void SmurfAttacker::burst(sim::NodeHandle& node) {
   if (config_.truth) {
     config_.truth->add(node.now(), ids::AttackType::kSmurf,
                        net::toString(config_.victimIp),
@@ -110,19 +97,12 @@ void SmurfAttacker::burst(sim::NodeHandle& node, std::size_t burstIndex) {
 // --- SynFloodAttacker ----------------------------------------------------------------
 
 void SynFloodAttacker::start(sim::NodeHandle& node) {
-  sim::World& world = node.world();
-  const NodeId id = node.id();
-  for (std::size_t b = 0; b < config_.burstCount; ++b) {
-    const SimTime at = config_.firstBurstAt + b * config_.burstInterval;
-    world.sim().at(at, [this, &world, id, b] {
-      sim::NodeHandle h = world.handle(id);
-      burst(h, b);
-    });
-  }
+  scheduleBursts(node, config_.firstBurstAt, config_.burstInterval,
+                 config_.burstCount,
+                 [this](sim::NodeHandle& h, std::size_t) { burst(h); });
 }
 
-void SynFloodAttacker::burst(sim::NodeHandle& node, std::size_t burstIndex) {
-  (void)burstIndex;
+void SynFloodAttacker::burst(sim::NodeHandle& node) {
   if (config_.truth) {
     config_.truth->add(node.now(), ids::AttackType::kSynFlood,
                        net::toString(config_.victimIp),
@@ -153,19 +133,12 @@ void SynFloodAttacker::burst(sim::NodeHandle& node, std::size_t burstIndex) {
 // --- DeauthAttacker ------------------------------------------------------------------
 
 void DeauthAttacker::start(sim::NodeHandle& node) {
-  sim::World& world = node.world();
-  const NodeId id = node.id();
-  for (std::size_t b = 0; b < config_.burstCount; ++b) {
-    const SimTime at = config_.firstBurstAt + b * config_.burstInterval;
-    world.sim().at(at, [this, &world, id, b] {
-      sim::NodeHandle h = world.handle(id);
-      burst(h, b);
-    });
-  }
+  scheduleBursts(node, config_.firstBurstAt, config_.burstInterval,
+                 config_.burstCount,
+                 [this](sim::NodeHandle& h, std::size_t) { burst(h); });
 }
 
-void DeauthAttacker::burst(sim::NodeHandle& node, std::size_t burstIndex) {
-  (void)burstIndex;
+void DeauthAttacker::burst(sim::NodeHandle& node) {
   if (config_.truth) {
     config_.truth->add(node.now(), ids::AttackType::kDeauthFlood,
                        net::toString(config_.victimMac),

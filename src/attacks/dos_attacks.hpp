@@ -35,7 +35,7 @@ class IcmpFloodAttacker final : public sim::Behavior {
   void start(sim::NodeHandle& node) override;
 
  private:
-  void burst(sim::NodeHandle& node, std::size_t burstIndex);
+  void burst(sim::NodeHandle& node);
   void sendReply(sim::NodeHandle& node, std::size_t i);
 
   Config config_;
@@ -67,7 +67,7 @@ class SmurfAttacker final : public sim::Behavior {
   void start(sim::NodeHandle& node) override;
 
  private:
-  void burst(sim::NodeHandle& node, std::size_t burstIndex);
+  void burst(sim::NodeHandle& node);
 
   Config config_;
   std::uint16_t ident_ = 1;
@@ -96,7 +96,7 @@ class SynFloodAttacker final : public sim::Behavior {
   void start(sim::NodeHandle& node) override;
 
  private:
-  void burst(sim::NodeHandle& node, std::size_t burstIndex);
+  void burst(sim::NodeHandle& node);
 
   Config config_;
   std::uint16_t ident_ = 1;
@@ -121,7 +121,7 @@ class DeauthAttacker final : public sim::Behavior {
   void start(sim::NodeHandle& node) override;
 
  private:
-  void burst(sim::NodeHandle& node, std::size_t burstIndex);
+  void burst(sim::NodeHandle& node);
 
   Config config_;
   std::uint16_t seqCtl_ = 0;

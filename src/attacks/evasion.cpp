@@ -16,32 +16,24 @@ namespace {
 Stats gTally;
 FrameTap gTap;
 
-bool fail(std::string* error, const std::string& message) {
-  if (error) *error = message;
-  return false;
-}
-
-bool applyKey(EvasionPlan& p, std::string_view key, std::string_view value,
-              std::string* error) {
+SpecKey applyKey(EvasionPlan& p, std::string_view key,
+                 std::string_view value) {
   const auto asDouble = [&]() { return parseDouble(value); };
   const auto asInt = [&]() { return parseInt(value); };
-  const auto bad = [&]() {
-    return fail(error, "bad value for '" + std::string(key) +
-                           "': " + std::string(value));
-  };
+  constexpr SpecKey kBad = SpecKey::kBadValue;
   const auto asFlag = [&](bool& flag) {
     const auto v = parseBool(value);
-    if (!v) return bad();
+    if (!v) return kBad;
     flag = *v;
-    return true;
+    return SpecKey::kApplied;
   };
   if (key == "seed") {
     const auto v = asInt();
-    if (!v || *v < 0) return bad();
+    if (!v || *v < 0) return kBad;
     p.seed = static_cast<std::uint64_t>(*v);
   } else if (key == "budget") {
     const auto v = asDouble();
-    if (!v || *v < 0.0 || *v > 1.0) return bad();
+    if (!v || *v < 0.0 || *v > 1.0) return kBad;
     p.budget = *v;
   } else if (key == "timing") {
     return asFlag(p.timing);
@@ -53,32 +45,32 @@ bool applyKey(EvasionPlan& p, std::string_view key, std::string_view value,
     return asFlag(p.mimic);
   } else if (key == "gap-ms") {
     const auto v = asDouble();
-    if (!v || *v < 0.0) return bad();
+    if (!v || *v < 0.0) return kBad;
     p.gapStretchMs = *v;
   } else if (key == "jitter-ms") {
     const auto v = asDouble();
-    if (!v || *v < 0.0) return bad();
+    if (!v || *v < 0.0) return kBad;
     p.jitterMs = *v;
   } else if (key == "dilute-max") {
     const auto v = asDouble();
-    if (!v || *v < 0.0 || *v > 1.0) return bad();
+    if (!v || *v < 0.0 || *v > 1.0) return kBad;
     p.diluteMax = *v;
   } else if (key == "split-sources") {
     const auto v = asInt();
-    if (!v || *v < 1 || *v > 250) return bad();
+    if (!v || *v < 1 || *v > 250) return kBad;
     p.splitSources = static_cast<int>(*v);
   } else if (key == "pad-max") {
     const auto v = asInt();
-    if (!v || *v < 0 || *v > 512) return bad();
+    if (!v || *v < 0 || *v > 512) return kBad;
     p.padMax = static_cast<int>(*v);
   } else if (key == "forward-relief") {
     const auto v = asDouble();
-    if (!v || *v < 0.0 || *v > 1.0) return bad();
+    if (!v || *v < 0.0 || *v > 1.0) return kBad;
     p.forwardRelief = *v;
   } else {
-    return fail(error, "unknown evasion-plan key: " + std::string(key));
+    return SpecKey::kUnknown;
   }
-  return true;
+  return SpecKey::kApplied;
 }
 
 /// Single-technique preset: everything off except `keep`.
@@ -100,44 +92,27 @@ bool EvasionPlan::zero() const {
 std::optional<EvasionPlan> EvasionPlan::parse(std::string_view spec,
                                               std::string* error) {
   EvasionPlan p;
-  bool first = true;
-  for (const std::string& rawPart : kalis::split(spec, ',')) {
-    const std::string_view part = trim(rawPart);
-    if (part.empty()) continue;
-    if (first) {
-      first = false;
-      // A leading preset name seeds the plan; overrides follow.
-      if (part == "none") {
-        p.timing = p.dilute = p.split = p.mimic = false;
-        continue;
-      }
-      if (part == "full") continue;  // the default: all techniques on
-      if (part == "timing") {
-        p = onlyTechnique(&EvasionPlan::timing);
-        continue;
-      }
-      if (part == "dilute") {
-        p = onlyTechnique(&EvasionPlan::dilute);
-        continue;
-      }
-      if (part == "split") {
-        p = onlyTechnique(&EvasionPlan::split);
-        continue;
-      }
-      if (part == "mimic") {
-        p = onlyTechnique(&EvasionPlan::mimic);
-        continue;
-      }
+  const auto preset = [&p](std::string_view name) {
+    if (name == "none") {
+      p.timing = p.dilute = p.split = p.mimic = false;
+    } else if (name == "timing") {
+      p = onlyTechnique(&EvasionPlan::timing);
+    } else if (name == "dilute") {
+      p = onlyTechnique(&EvasionPlan::dilute);
+    } else if (name == "split") {
+      p = onlyTechnique(&EvasionPlan::split);
+    } else if (name == "mimic") {
+      p = onlyTechnique(&EvasionPlan::mimic);
+    } else {
+      return name == "full";  // the default: all techniques on
     }
-    const std::size_t eq = part.find('=');
-    if (eq == std::string_view::npos) {
-      fail(error, "expected key=value, got: " + std::string(part));
-      return std::nullopt;
-    }
-    if (!applyKey(p, trim(part.substr(0, eq)), trim(part.substr(eq + 1)),
-                  error)) {
-      return std::nullopt;
-    }
+    return true;
+  };
+  const auto key = [&p](std::string_view k, std::string_view v) {
+    return applyKey(p, k, v);
+  };
+  if (!parseSpec(spec, "evasion-plan", preset, key, error)) {
+    return std::nullopt;
   }
   return p;
 }

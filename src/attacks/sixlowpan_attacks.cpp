@@ -1,5 +1,6 @@
 #include "attacks/sixlowpan_attacks.hpp"
 
+#include "attacks/burst_schedule.hpp"
 #include "net/ieee802154.hpp"
 
 namespace kalis::attacks {
@@ -26,19 +27,12 @@ void transmitIpv6(sim::NodeHandle& node, std::uint16_t panId,
 }  // namespace
 
 void SmurfAttacker6lw::start(sim::NodeHandle& node) {
-  sim::World& world = node.world();
-  const NodeId id = node.id();
-  for (std::size_t b = 0; b < config_.burstCount; ++b) {
-    const SimTime at = config_.firstBurstAt + b * config_.burstInterval;
-    world.sim().at(at, [this, &world, id, b] {
-      sim::NodeHandle h = world.handle(id);
-      burst(h, b);
-    });
-  }
+  scheduleBursts(node, config_.firstBurstAt, config_.burstInterval,
+                 config_.burstCount,
+                 [this](sim::NodeHandle& h, std::size_t) { burst(h); });
 }
 
-void SmurfAttacker6lw::burst(sim::NodeHandle& node, std::size_t b) {
-  (void)b;
+void SmurfAttacker6lw::burst(sim::NodeHandle& node) {
   if (config_.truth) {
     config_.truth->add(
         node.now(), ids::AttackType::kSmurf,
@@ -76,15 +70,8 @@ void SmurfAttacker6lw::burst(sim::NodeHandle& node, std::size_t b) {
 }
 
 void RplSinkholeAttacker::start(sim::NodeHandle& node) {
-  sim::World& world = node.world();
-  const NodeId id = node.id();
-  for (std::size_t i = 0; i < config_.dioCount; ++i) {
-    const SimTime at = config_.startAt + i * config_.dioInterval;
-    world.sim().at(at, [this, &world, id] {
-      sim::NodeHandle h = world.handle(id);
-      dio(h);
-    });
-  }
+  scheduleBursts(node, config_.startAt, config_.dioInterval, config_.dioCount,
+                 [this](sim::NodeHandle& h, std::size_t) { dio(h); });
 }
 
 void RplSinkholeAttacker::dio(sim::NodeHandle& node) {

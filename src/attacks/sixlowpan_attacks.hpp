@@ -31,7 +31,7 @@ class SmurfAttacker6lw final : public sim::Behavior {
   void start(sim::NodeHandle& node) override;
 
  private:
-  void burst(sim::NodeHandle& node, std::size_t b);
+  void burst(sim::NodeHandle& node);
 
   Config config_;
   std::uint8_t linkSeq_ = 0;

@@ -1,5 +1,6 @@
 #include "attacks/wpan_attacks.hpp"
 
+#include "attacks/burst_schedule.hpp"
 #include "net/ctp.hpp"
 #include "net/ieee802154.hpp"
 #include "net/zigbee.hpp"
@@ -9,16 +10,9 @@ namespace kalis::attacks {
 // --- ReplicaDevice ---------------------------------------------------------------
 
 void ReplicaDevice::start(sim::NodeHandle& node) {
-  sim::World& world = node.world();
-  const NodeId id = node.id();
-  for (std::size_t i = 0; i < config_.packetCount; ++i) {
-    const SimTime at =
-        config_.startAt + config_.phaseOffset + i * config_.interval;
-    world.sim().at(at, [this, &world, id, i] {
-      sim::NodeHandle h = world.handle(id);
-      transmit(h, i);
-    });
-  }
+  scheduleBursts(node, config_.startAt + config_.phaseOffset,
+                 config_.interval, config_.packetCount,
+                 [this](sim::NodeHandle& h, std::size_t i) { transmit(h, i); });
 }
 
 void ReplicaDevice::transmit(sim::NodeHandle& node, std::size_t i) {
@@ -52,8 +46,6 @@ void ReplicaDevice::transmit(sim::NodeHandle& node, std::size_t i) {
 // --- SybilAttacker ----------------------------------------------------------------
 
 void SybilAttacker::start(sim::NodeHandle& node) {
-  sim::World& world = node.world();
-  const NodeId id = node.id();
   if (config_.truth) {
     for (std::size_t k = 0; k < config_.identityCount; ++k) {
       config_.truth->add(
@@ -62,17 +54,11 @@ void SybilAttacker::start(sim::NodeHandle& node) {
               static_cast<std::uint16_t>(config_.identityBase + k)}));
     }
   }
-  for (std::size_t r = 0; r < config_.rounds; ++r) {
-    const SimTime at = config_.startAt + r * config_.interval;
-    world.sim().at(at, [this, &world, id, r] {
-      sim::NodeHandle h = world.handle(id);
-      round(h, r);
-    });
-  }
+  scheduleBursts(node, config_.startAt, config_.interval, config_.rounds,
+                 [this](sim::NodeHandle& h, std::size_t) { round(h); });
 }
 
-void SybilAttacker::round(sim::NodeHandle& node, std::size_t r) {
-  (void)r;
+void SybilAttacker::round(sim::NodeHandle& node) {
   for (std::size_t k = 0; k < config_.identityCount; ++k) {
     const net::Mac16 fake{
         static_cast<std::uint16_t>(config_.identityBase + k)};
@@ -121,19 +107,12 @@ void SybilAttacker::round(sim::NodeHandle& node, std::size_t r) {
 // --- SinkholeAttacker --------------------------------------------------------------
 
 void SinkholeAttacker::start(sim::NodeHandle& node) {
-  sim::World& world = node.world();
-  const NodeId id = node.id();
-  for (std::size_t i = 0; i < config_.beaconCount; ++i) {
-    const SimTime at = config_.startAt + i * config_.beaconInterval;
-    world.sim().at(at, [this, &world, id, i] {
-      sim::NodeHandle h = world.handle(id);
-      beacon(h, i);
-    });
-  }
+  scheduleBursts(node, config_.startAt, config_.beaconInterval,
+                 config_.beaconCount,
+                 [this](sim::NodeHandle& h, std::size_t) { beacon(h); });
 }
 
-void SinkholeAttacker::beacon(sim::NodeHandle& node, std::size_t i) {
-  (void)i;
+void SinkholeAttacker::beacon(sim::NodeHandle& node) {
   if (config_.truth && config_.truth->size() < config_.maxInstances) {
     config_.truth->add(node.now(), ids::AttackType::kSinkhole, "",
                        net::toString(node.mac16()));
@@ -156,19 +135,12 @@ void SinkholeAttacker::beacon(sim::NodeHandle& node, std::size_t i) {
 // --- HelloFloodAttacker -------------------------------------------------------------
 
 void HelloFloodAttacker::start(sim::NodeHandle& node) {
-  sim::World& world = node.world();
-  const NodeId id = node.id();
-  for (std::size_t b = 0; b < config_.burstCount; ++b) {
-    const SimTime at = config_.startAt + b * config_.burstInterval;
-    world.sim().at(at, [this, &world, id, b] {
-      sim::NodeHandle h = world.handle(id);
-      burst(h, b);
-    });
-  }
+  scheduleBursts(node, config_.startAt, config_.burstInterval,
+                 config_.burstCount,
+                 [this](sim::NodeHandle& h, std::size_t) { burst(h); });
 }
 
-void HelloFloodAttacker::burst(sim::NodeHandle& node, std::size_t b) {
-  (void)b;
+void HelloFloodAttacker::burst(sim::NodeHandle& node) {
   if (config_.truth) {
     config_.truth->add(node.now(), ids::AttackType::kHelloFlood, "",
                        net::toString(node.mac16()));

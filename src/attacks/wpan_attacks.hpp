@@ -59,7 +59,7 @@ class SybilAttacker final : public sim::Behavior {
   void start(sim::NodeHandle& node) override;
 
  private:
-  void round(sim::NodeHandle& node, std::size_t r);
+  void round(sim::NodeHandle& node);
 
   Config config_;
   std::uint8_t seq_ = 0;
@@ -83,7 +83,7 @@ class SinkholeAttacker final : public sim::Behavior {
   void start(sim::NodeHandle& node) override;
 
  private:
-  void beacon(sim::NodeHandle& node, std::size_t i);
+  void beacon(sim::NodeHandle& node);
 
   Config config_;
   std::uint8_t seq_ = 0;
@@ -106,7 +106,7 @@ class HelloFloodAttacker final : public sim::Behavior {
   void start(sim::NodeHandle& node) override;
 
  private:
-  void burst(sim::NodeHandle& node, std::size_t b);
+  void burst(sim::NodeHandle& node);
 
   Config config_;
   std::uint8_t seq_ = 0;

@@ -28,75 +28,66 @@ FaultPlan heavyPreset() {
   return p;
 }
 
-bool fail(std::string* error, const std::string& message) {
-  if (error) *error = message;
-  return false;
-}
-
-bool applyKey(FaultPlan& p, std::string_view key, std::string_view value,
-              std::string* error) {
+SpecKey applyKey(FaultPlan& p, std::string_view key, std::string_view value) {
   const auto asDouble = [&]() { return parseDouble(value); };
   const auto asInt = [&]() { return parseInt(value); };
-  const auto bad = [&]() {
-    return fail(error, "bad value for '" + std::string(key) +
-                           "': " + std::string(value));
-  };
+  constexpr SpecKey kBad = SpecKey::kBadValue;
   if (key == "seed") {
     const auto v = asInt();
-    if (!v || *v < 0) return bad();
+    if (!v || *v < 0) return kBad;
     p.seed = static_cast<std::uint64_t>(*v);
   } else if (key == "loss") {
     const auto v = asDouble();
-    if (!v || *v < 0.0 || *v > 1.0) return bad();
+    if (!v || *v < 0.0 || *v > 1.0) return kBad;
     p.lossStart = *v;
   } else if (key == "burst") {
     const auto v = asDouble();
-    if (!v || *v < 1.0) return bad();
+    if (!v || *v < 1.0) return kBad;
     p.lossBurstLen = *v;
   } else if (key == "dup") {
     const auto v = asDouble();
-    if (!v || *v < 0.0 || *v > 1.0) return bad();
+    if (!v || *v < 0.0 || *v > 1.0) return kBad;
     p.duplicateProb = *v;
   } else if (key == "reorder") {
     const auto v = asDouble();
-    if (!v || *v < 0.0 || *v > 1.0) return bad();
+    if (!v || *v < 0.0 || *v > 1.0) return kBad;
     p.reorderProb = *v;
   } else if (key == "window-ms") {
     const auto v = asInt();
-    if (!v || *v < 0) return bad();
+    if (!v || *v < 0) return kBad;
     p.reorderWindow = milliseconds(static_cast<std::uint64_t>(*v));
   } else if (key == "corrupt") {
     const auto v = asDouble();
-    if (!v || *v < 0.0 || *v > 1.0) return bad();
+    if (!v || *v < 0.0 || *v > 1.0) return kBad;
     p.corruptProb = *v;
   } else if (key == "bits") {
     const auto v = asInt();
-    if (!v || *v < 1 || *v > 64) return bad();
+    if (!v || *v < 1 || *v > 64) return kBad;
     p.corruptBitsMax = static_cast<int>(*v);
   } else if (key == "jitter") {
     const auto v = asDouble();
-    if (!v || *v < 0.0) return bad();
+    if (!v || *v < 0.0) return kBad;
     p.rssiJitterDb = *v;
   } else if (key == "crash-s") {
     const auto v = asDouble();
-    if (!v || *v < 0.0) return bad();
+    if (!v || *v < 0.0) return kBad;
     p.crashMeanUptime = static_cast<Duration>(*v * 1e6);
   } else if (key == "down-s") {
     const auto v = asDouble();
-    if (!v || *v <= 0.0) return bad();
+    if (!v || *v <= 0.0) return kBad;
     p.crashDowntime = static_cast<Duration>(*v * 1e6);
   } else if (key == "stall-batches") {
     const auto v = asInt();
-    if (!v || *v < 0) return bad();
+    if (!v || *v < 0) return kBad;
     p.stallEveryBatches = static_cast<std::size_t>(*v);
   } else if (key == "stall-us") {
     const auto v = asInt();
-    if (!v || *v < 0) return bad();
+    if (!v || *v < 0) return kBad;
     p.stallMicros = static_cast<std::uint64_t>(*v);
   } else {
-    return fail(error, "unknown fault-plan key: " + std::string(key));
+    return SpecKey::kUnknown;
   }
-  return true;
+  return SpecKey::kApplied;
 }
 
 }  // namespace
@@ -113,33 +104,20 @@ bool FaultPlan::zero() const {
 std::optional<FaultPlan> FaultPlan::parse(std::string_view spec,
                                           std::string* error) {
   FaultPlan p;
-  bool first = true;
-  for (const std::string& rawPart : split(spec, ',')) {
-    const std::string_view part = trim(rawPart);
-    if (part.empty()) continue;
-    if (first) {
-      first = false;
-      // A leading preset name seeds the plan; overrides follow.
-      if (part == "none") continue;
-      if (part == "light") {
-        p = lightPreset();
-        continue;
-      }
-      if (part == "heavy") {
-        p = heavyPreset();
-        continue;
-      }
+  const auto preset = [&p](std::string_view name) {
+    if (name == "light") {
+      p = lightPreset();
+    } else if (name == "heavy") {
+      p = heavyPreset();
+    } else {
+      return name == "none";
     }
-    const std::size_t eq = part.find('=');
-    if (eq == std::string_view::npos) {
-      fail(error, "expected key=value, got: " + std::string(part));
-      return std::nullopt;
-    }
-    if (!applyKey(p, trim(part.substr(0, eq)), trim(part.substr(eq + 1)),
-                  error)) {
-      return std::nullopt;
-    }
-  }
+    return true;
+  };
+  const auto key = [&p](std::string_view k, std::string_view v) {
+    return applyKey(p, k, v);
+  };
+  if (!parseSpec(spec, "fault-plan", preset, key, error)) return std::nullopt;
   return p;
 }
 

@@ -18,14 +18,13 @@ TierTable::Apply TierTable::apply(const ids::Knowgget& k) {
 HierarchicalExchange::HierarchicalExchange(Options options)
     : globalInbox_(options.globalInboxCapacity),
       globalLog_(options.globalLogCapacity),
-      homes_(options.homes) {
+      finals_(options.homes) {
   const std::size_t regions = options.regions == 0 ? 1 : options.regions;
   regions_.reserve(regions);
   for (std::size_t r = 0; r < regions; ++r) {
     regions_.push_back(std::make_unique<Region>(options.regionInboxCapacity,
                                                 options.regionLogCapacity));
   }
-  finalKnowledge_.resize(homes_);
 }
 
 void HierarchicalExchange::publishFromHome(std::size_t home, std::size_t region,
@@ -107,18 +106,6 @@ std::size_t HierarchicalExchange::pullGlobalIntoRegion(std::size_t r) {
   });
 }
 
-void HierarchicalExchange::finishChild(std::size_t home,
-                                       std::vector<ids::Knowgget> finalOwn) {
-  std::lock_guard<std::mutex> lock(finishMu_);
-  finalKnowledge_[home] = std::move(finalOwn);
-  ++finishedCount_;
-}
-
-bool HierarchicalExchange::allChildrenFinished() const {
-  std::lock_guard<std::mutex> lock(finishMu_);
-  return finishedCount_ >= homes_;
-}
-
 void HierarchicalExchange::reconcile() {
   // Pending upward traffic first: region inboxes feed the global inbox, so
   // the order region → global empties everything in one pass.
@@ -126,12 +113,7 @@ void HierarchicalExchange::reconcile() {
   syncGlobal();
   // Fold every home's deposited finals into the global view, in home order
   // (deterministic). This repairs anything the drop-oldest rings evicted.
-  std::vector<std::vector<ids::Knowgget>> finals;
-  {
-    std::lock_guard<std::mutex> lock(finishMu_);
-    finals = finalKnowledge_;
-  }
-  for (const auto& finalOwn : finals) {
+  for (const auto& finalOwn : finals_.snapshot()) {
     for (const ids::Knowgget& k : finalOwn) {
       switch (globalTable_.apply(k)) {
         case TierTable::Apply::kAccepted:

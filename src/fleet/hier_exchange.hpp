@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -164,8 +163,6 @@ class HierarchicalExchange {
 
   explicit HierarchicalExchange(Options options);
 
-  std::size_t regionCount() const { return regions_.size(); }
-
   // --- upward flow ----------------------------------------------------------
 
   /// Home `home` publishes one changed collective knowgget at its clock
@@ -209,11 +206,13 @@ class HierarchicalExchange {
 
   /// Deposits home `home`'s final own collective knowggets. Thread-safe;
   /// call exactly once per home during shutdown.
-  void finishChild(std::size_t home, std::vector<ids::Knowgget> finalOwn);
+  void finishChild(std::size_t home, std::vector<ids::Knowgget> finalOwn) {
+    finals_.deposit(home, std::move(finalOwn));
+  }
 
   /// True once every home deposited. (The fleet's barrier already provides
   /// the rendezvous; this is the accounting check.)
-  bool allChildrenFinished() const;
+  bool allChildrenFinished() const { return finals_.complete(); }
 
   /// Drains every region inbox + the global inbox into the global table,
   /// then folds in all deposited finals — repairing drop-oldest evictions.
@@ -269,10 +268,7 @@ class HierarchicalExchange {
   std::uint64_t globalRejected_ = 0;   ///< barrier-completion only
   std::uint64_t globalLogMissed_ = 0;  ///< summed region cursors (quiescent)
 
-  mutable std::mutex finishMu_;
-  std::vector<std::vector<ids::Knowgget>> finalKnowledge_;
-  std::size_t finishedCount_ = 0;
-  std::size_t homes_ = 0;
+  pipeline::FinalDeposit finals_;  ///< one slot per home
 };
 
 }  // namespace kalis::fleet

@@ -60,16 +60,9 @@ class DataStore {
   // --- observability (kalis::obs; zero-cost under KALIS_METRICS=OFF) -----------
   /// Packets dropped off the back of the in-memory window.
   const obs::Counter& windowEvictions() const { return windowEvictions_; }
-  /// Packets appended to the on-disk KTRC log.
-  const obs::Counter& loggedPackets() const { return loggedPackets_; }
 
   /// Appends Data Store metrics under `prefix` (e.g. "kalis.data_store").
   void collectMetrics(obs::Registry& reg, const std::string& prefix) const;
-
-  /// Releases debug-build thread ownership for an explicit single-ended
-  /// handoff (see util/thread_check.hpp). Never call while another thread
-  /// may still touch this store.
-  void rebindOwnerThread() { owner_.rebind(); }
 
  private:
   util::ThreadOwnershipChecker owner_;

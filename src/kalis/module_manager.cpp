@@ -27,35 +27,30 @@ ModuleContext ModuleManager::makeContext(SimTime now) {
 void ModuleManager::addModule(std::unique_ptr<Module> module) {
   entries_.push_back(Entry{std::move(module), false, {}, {}});
   if (started_) {
-    Entry& entry = entries_.back();
-    Module* raw = entry.module.get();
-    for (const std::string& pattern : raw->watchedLabels()) {
-      entry.subscriptionIds.push_back(kb_.subscribe(
-          pattern, [this, raw](const Knowgget&) {
-            for (auto& e : entries_) {
-              if (e.module.get() == raw) evaluate(e, lastEventTime_);
-            }
-          }));
-    }
-    evaluate(entry, lastEventTime_);
+    installSubscriptions(entries_.back());
+    evaluate(entries_.back(), lastEventTime_);
   }
 }
 
 void ModuleManager::start(SimTime now) {
   started_ = true;
   lastEventTime_ = now;
-  for (auto& entry : entries_) {
-    Module* raw = entry.module.get();
-    for (const std::string& pattern : raw->watchedLabels()) {
-      entry.subscriptionIds.push_back(kb_.subscribe(
-          pattern, [this, raw](const Knowgget&) {
-            for (auto& e : entries_) {
-              if (e.module.get() == raw) evaluate(e, lastEventTime_);
-            }
-          }));
-    }
-  }
+  for (auto& entry : entries_) installSubscriptions(entry);
   for (auto& entry : entries_) evaluate(entry, now);
+}
+
+void ModuleManager::installSubscriptions(Entry& entry) {
+  // Looked up by module pointer on every notification: entries_ may
+  // reallocate as modules are added, so no Entry reference is captured.
+  Module* raw = entry.module.get();
+  for (const std::string& pattern : raw->watchedLabels()) {
+    entry.subscriptionIds.push_back(
+        kb_.subscribe(pattern, [this, raw](const Knowgget&) {
+          for (auto& e : entries_) {
+            if (e.module.get() == raw) evaluate(e, lastEventTime_);
+          }
+        }));
+  }
 }
 
 void ModuleManager::evaluate(Entry& entry, SimTime now) {

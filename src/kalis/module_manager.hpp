@@ -55,7 +55,6 @@ class ModuleManager {
 
   // --- alerts ---------------------------------------------------------------
   const std::vector<Alert>& alerts() const { return alerts_; }
-  void clearAlerts() { alerts_.clear(); }
   /// Optional extra consumer (countermeasure engine, SIEM export, tests).
   void setAlertSink(std::function<void(const Alert&)> sink) {
     alertSink_ = std::move(sink);
@@ -113,6 +112,8 @@ class ModuleManager {
   };
 
   void evaluate(Entry& entry, SimTime now);
+  /// Re-evaluates `entry` whenever a knowgget it watches changes.
+  void installSubscriptions(Entry& entry);
   ModuleContext makeContext(SimTime now);
 
   KnowledgeBase& kb_;

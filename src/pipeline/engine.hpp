@@ -35,25 +35,19 @@ class PacketEngine {
     for (std::size_t i = 0; i < count; ++i) onPacket(*pkts[i]);
   }
 
-  /// Returns (and clears) the alerts raised since the previous call, in
-  /// nondecreasing Alert::time order. Together with the watermark()
-  /// promise below this makes the shard's alert stream sorted *across*
-  /// calls too — each drain continues a single nondecreasing run — which
-  /// the pipeline's merge stage relies on to treat per-shard buffers as
-  /// pre-sorted runs instead of re-heapifying every alert.
-  virtual std::vector<ids::Alert> takeAlerts() = 0;
+  /// Appends the alerts raised since the previous call to `out`, in
+  /// nondecreasing Alert::time order, and clears them from the engine. The
+  /// Pipeline drains into a per-shard scratch vector, so an engine that
+  /// clears its buffer while keeping the capacity stops allocating on the
+  /// alert path. Together with the watermark() promise below this makes the
+  /// shard's alert stream sorted *across* calls too — each drain continues a
+  /// single nondecreasing run — which the pipeline's merge stage relies on
+  /// to treat per-shard buffers as pre-sorted runs instead of re-heapifying
+  /// every alert.
+  virtual void drainAlerts(std::vector<ids::Alert>& out) = 0;
 
-  /// Pooling variant of takeAlerts(): appends the pending alerts to `out`
-  /// (same order) and clears the internal buffer while keeping its capacity,
-  /// so the steady-state alert path stops allocating. The Pipeline always
-  /// drains through this entry point with a per-shard scratch vector.
-  virtual void drainAlerts(std::vector<ids::Alert>& out) {
-    std::vector<ids::Alert> fresh = takeAlerts();
-    for (ids::Alert& a : fresh) out.push_back(std::move(a));
-  }
-
-  /// Completeness promise for the merge stage: no alert returned by a
-  /// *future* takeAlerts() will carry time < watermark().
+  /// Completeness promise for the merge stage: no alert appended by a
+  /// *future* drainAlerts() will carry time < watermark().
   virtual SimTime watermark() const = 0;
 
   /// End-of-stream, called exactly once after the last onPacket (e.g. to

@@ -50,10 +50,6 @@ class KalisShardEngine : public PacketEngine {
     }
   }
 
-  std::vector<ids::Alert> takeAlerts() override {
-    return std::exchange(fresh_, {});
-  }
-
   void drainAlerts(std::vector<ids::Alert>& out) override {
     for (ids::Alert& a : fresh_) out.push_back(std::move(a));
     fresh_.clear();  // keeps capacity: the alert buffer is pooled

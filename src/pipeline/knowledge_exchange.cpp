@@ -2,10 +2,10 @@
 
 namespace kalis::pipeline {
 
-KnowledgeExchange::KnowledgeExchange(Options options) {
+KnowledgeExchange::KnowledgeExchange(Options options)
+    : finals_(options.shards == 0 ? 1 : options.shards) {
   const std::size_t shards = options.shards == 0 ? 1 : options.shards;
   inboxes_.reserve(shards);
-  finalKnowledge_.resize(shards);
   for (std::size_t i = 0; i < shards; ++i) {
     inboxes_.push_back(std::make_unique<KnowledgeInbox>(options.inboxCapacity));
   }
@@ -48,43 +48,19 @@ void KnowledgeExchange::countApply(bool accepted) {
   }
 }
 
-void KnowledgeExchange::finishShard(std::size_t shard,
-                                    std::vector<ids::Knowgget> finalOwn) {
-  {
-    std::lock_guard<std::mutex> lock(finishMu_);
-    finalKnowledge_[shard] = std::move(finalOwn);
-    ++finishedCount_;
-  }
-  finishedCv_.notify_all();
-}
-
-bool KnowledgeExchange::allFinished() const {
-  std::lock_guard<std::mutex> lock(finishMu_);
-  return finishedCount_ >= inboxes_.size();
-}
-
 void KnowledgeExchange::waitAllFinished() const {
   finishWaits_.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<std::mutex> lock(finishMu_);
-  finishedCv_.wait(lock, [this] { return finishedCount_ >= inboxes_.size(); });
+  finals_.wait();
 }
 
 bool KnowledgeExchange::waitAllFinished(std::chrono::milliseconds timeout) const {
   finishWaits_.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<std::mutex> lock(finishMu_);
-  return finishedCv_.wait_for(
-      lock, timeout, [this] { return finishedCount_ >= inboxes_.size(); });
+  return finals_.waitFor(timeout);
 }
 
 std::size_t KnowledgeExchange::applyFinalFrom(
     std::size_t shard, const std::function<bool(const ids::Knowgget&)>& apply) {
-  // Snapshot under the lock, apply outside it: `apply` reaches into the
-  // shard's KB and must not run while holding exchange-internal locks.
-  std::vector<std::vector<ids::Knowgget>> finals;
-  {
-    std::lock_guard<std::mutex> lock(finishMu_);
-    finals = finalKnowledge_;
-  }
+  const std::vector<std::vector<ids::Knowgget>> finals = finals_.snapshot();
   std::size_t offered = 0;
   for (std::size_t from = 0; from < finals.size(); ++from) {
     if (from == shard) continue;

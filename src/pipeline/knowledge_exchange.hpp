@@ -131,6 +131,58 @@ class KnowledgeInbox {
   std::vector<Ring::Item> scratch_;  ///< consumer-thread-only drain buffer
 };
 
+/// The shutdown deposit shared by both exchanges: each child (a shard of
+/// the flat exchange, a home of the fleet) deposits its final own
+/// collective knowggets exactly once, and the exchange folds every deposit
+/// in, in child order, to repair what the drop-oldest inboxes evicted.
+/// Any thread.
+class FinalDeposit {
+ public:
+  explicit FinalDeposit(std::size_t children) : finals_(children) {}
+
+  /// Stores `child`'s final set and wakes every waiter.
+  void deposit(std::size_t child, std::vector<ids::Knowgget> finalOwn) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      finals_[child] = std::move(finalOwn);
+      ++deposited_;
+    }
+    cv_.notify_all();
+  }
+
+  bool complete() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return completeLocked();
+  }
+
+  /// One predicate wait until every child deposited, no polling.
+  void wait() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return completeLocked(); });
+  }
+
+  /// Bounded variant: waits up to `timeout`, returns complete().
+  bool waitFor(std::chrono::milliseconds timeout) const {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return completeLocked(); });
+  }
+
+  /// Every deposit in child order, copied under the lock so the caller can
+  /// apply it to a KB without holding exchange-internal locks.
+  std::vector<std::vector<ids::Knowgget>> snapshot() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return finals_;
+  }
+
+ private:
+  bool completeLocked() const { return deposited_ >= finals_.size(); }
+
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  std::vector<std::vector<ids::Knowgget>> finals_;
+  std::size_t deposited_ = 0;
+};
+
 class KnowledgeExchange {
  public:
   struct Options {
@@ -177,9 +229,11 @@ class KnowledgeExchange {
 
   /// Deposits the shard's final own collective knowggets and marks it
   /// finished. Call exactly once per shard, after its engine's finish().
-  void finishShard(std::size_t shard, std::vector<ids::Knowgget> finalOwn);
+  void finishShard(std::size_t shard, std::vector<ids::Knowgget> finalOwn) {
+    finals_.deposit(shard, std::move(finalOwn));
+  }
 
-  bool allFinished() const;
+  bool allFinished() const { return finals_.complete(); }
   /// Blocks until every shard has called finishShard() — one predicate wait
   /// on the finish condvar, no polling. Safe because publish() never blocks
   /// (drop-oldest inboxes): a late publisher cannot deadlock against parked
@@ -214,10 +268,7 @@ class KnowledgeExchange {
   std::atomic<std::uint64_t> droppedInFlight_{0};
   mutable std::atomic<std::uint64_t> finishWaits_{0};
 
-  mutable std::mutex finishMu_;
-  mutable std::condition_variable finishedCv_;
-  std::vector<std::vector<ids::Knowgget>> finalKnowledge_;
-  std::size_t finishedCount_ = 0;
+  FinalDeposit finals_;
 };
 
 }  // namespace kalis::pipeline

@@ -123,21 +123,8 @@ void Pipeline::stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
   if (options_.deterministic) {
-    Shard& shard = *shards_[0];
-    shard.ring.close();
-    shard.engine->finish();
-    if (exchange_) {
-      // Single shard: publishes have no receivers, but the counters and the
-      // reconciliation protocol stay uniform with threaded mode.
-      syncShardKnowledge(0, /*force=*/true);
-      exchange_->finishShard(0, shard.engine->collectiveKnowledge(true));
-      exchange_->waitAllFinished();
-      exchange_->applyFinalFrom(0, [&shard](const ids::Knowgget& k) {
-        return shard.engine->applyRemoteKnowledge(k);
-      });
-    }
-    shard.finalKnowledge = shard.engine->collectiveKnowledge(false);
-    collectFrom(0, /*shardDone=*/true);
+    shards_[0]->ring.close();
+    finishStream(0);
     return;
   }
   for (auto& shard : shards_) shard->ring.close();
@@ -177,6 +164,14 @@ void Pipeline::workerMain(std::size_t shardIdx) {
           std::chrono::microseconds(options_.faults.stallMicros));
     }
   }
+  finishStream(shardIdx);
+  // Tear the engine down here too: shard state must be built, used and
+  // destroyed by its one owning thread (KB/DataStore assert this).
+  shard.engine.reset();
+}
+
+void Pipeline::finishStream(std::size_t shardIdx) {
+  Shard& shard = *shards_[shardIdx];
   shard.engine->finish();
   if (exchange_) {
     // Shutdown reconciliation (knowledge_exchange.hpp): flush our pending
@@ -186,7 +181,8 @@ void Pipeline::workerMain(std::size_t shardIdx) {
     // anything evicted from an inbox while we slept is repaired by the
     // final-snapshot application below. One post-rendezvous drain picks up
     // all remaining in-flight items (each publish happened-before its
-    // shard's finishShard).
+    // shard's finishShard). A single deterministic shard has no peers, so
+    // its drains find nothing, but the protocol stays the same.
     syncShardKnowledge(shardIdx, /*force=*/true);
     exchange_->finishShard(shardIdx, shard.engine->collectiveKnowledge(true));
     exchange_->waitAllFinished();
@@ -197,9 +193,6 @@ void Pipeline::workerMain(std::size_t shardIdx) {
   }
   shard.finalKnowledge = shard.engine->collectiveKnowledge(false);
   collectFrom(shardIdx, /*shardDone=*/true);
-  // Tear the engine down here too: shard state must be built, used and
-  // destroyed by its one owning thread (KB/DataStore assert this).
-  shard.engine.reset();
 }
 
 void Pipeline::syncShardKnowledge(std::size_t shardIdx, bool force) {

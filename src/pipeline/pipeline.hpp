@@ -245,6 +245,9 @@ class Pipeline {
   };
 
   void workerMain(std::size_t shard);
+  /// End of `shard`'s stream (worker or deterministic stop()): finish the
+  /// engine, reconcile knowledge, snapshot it and collect the last alerts.
+  void finishStream(std::size_t shard);
   void collectFrom(std::size_t shard, bool shardDone);
   /// Publishes the shard engine's pending collective changes into the
   /// exchange and — when forced or the sync interval elapsed — applies

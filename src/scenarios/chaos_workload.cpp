@@ -13,10 +13,6 @@
 
 namespace kalis::scenarios {
 
-namespace {
-
-/// Mirrors examples/trace_replay captureTrace, plus the chaos seam: what a
-/// sniffer at the IDS spot records, under an optional fault plan.
 trace::Trace captureTrace(std::uint64_t seed, bool withAttack,
                           metrics::GroundTruth* truth,
                           const chaos::FaultPlan* plan,
@@ -60,8 +56,6 @@ trace::Trace captureTrace(std::uint64_t seed, bool withAttack,
   }
   return captured;
 }
-
-}  // namespace
 
 chaos::RunOutput runTraceReplayWorkload(std::uint64_t seed,
                                         const chaos::FaultPlan* plan,

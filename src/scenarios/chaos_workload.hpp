@@ -9,8 +9,20 @@
 #include <cstdint>
 
 #include "chaos/diff_runner.hpp"
+#include "chaos/link_chaos.hpp"
+#include "metrics/ground_truth.hpp"
+#include "trace/trace_file.hpp"
 
 namespace kalis::scenarios {
+
+/// Runs a live HomeWifi simulation for 70 s and returns everything a
+/// sniffer at the IDS spot captured. `withAttack` adds a four-burst ICMP
+/// flood recorded in `truth`; a non-null `plan` breaks the links while
+/// recording and adds its fault counts to `faultTally`.
+trace::Trace captureTrace(std::uint64_t seed, bool withAttack,
+                          metrics::GroundTruth* truth,
+                          const chaos::FaultPlan* plan,
+                          chaos::LinkChaos::Stats* faultTally);
 
 /// One full run. `workers` == 0 selects deterministic single-shard mode
 /// (byte-reproducible); otherwise `workers` threads. A null `plan` runs

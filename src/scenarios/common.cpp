@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "attacks/evasion.hpp"
+#include "chaos/link_chaos.hpp"
 #include "kalis/config.hpp"
 #include "metrics/metrics_export.hpp"
 
@@ -116,6 +118,29 @@ ScenarioResult finishResult(std::string scenario, IdsHarness& harness,
   if (ids::KalisNode* node = harness.kalis()) {
     result.metricsJson =
         metrics::collectMetrics(*node, node->sim(), result.scenario).toJson();
+  }
+  return result;
+}
+
+ScenarioResult runOnWorld(std::string scenario, sim::World& world,
+                          IdsHarness::Options options, NodeId idsNode,
+                          std::initializer_list<net::Medium> media,
+                          const metrics::GroundTruth& truth,
+                          Duration simulated, const chaos::FaultPlan* faults,
+                          const attacks::evasion::EvasionPlan* evasion) {
+  IdsHarness harness(world.sim(), std::move(options));
+  harness.attach(world, idsNode, media);
+  const auto chaosGuard = chaos::installFaultPlan(world, faults);
+  const auto evasionGuard = attacks::evasion::installEvasionPlan(world, evasion);
+  world.start();
+  harness.start();
+  world.sim().runUntil(simulated);
+
+  ScenarioResult result =
+      finishResult(std::move(scenario), harness, truth, simulated);
+  if (harness.kind() == SystemKind::kSnort &&
+      harness.snort()->packetsProcessed() == 0) {
+    result.notApplicable = true;
   }
   return result;
 }

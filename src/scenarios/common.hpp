@@ -13,6 +13,14 @@
 #include "metrics/evaluation.hpp"
 #include "sim/world.hpp"
 
+namespace kalis::chaos {
+struct FaultPlan;
+}
+
+namespace kalis::attacks::evasion {
+struct EvasionPlan;
+}
+
 namespace kalis::scenarios {
 
 enum class SystemKind : std::uint8_t { kKalis, kTraditionalIds, kSnort };
@@ -92,5 +100,17 @@ class IdsHarness {
 ScenarioResult finishResult(std::string scenario, IdsHarness& harness,
                             const metrics::GroundTruth& truth,
                             Duration simulated);
+
+/// The shared tail of every Fig. 8 run, once the environment and attacker
+/// are in place: builds the system under test, attaches it at `idsNode` on
+/// `media`, installs the optional fault and evasion plans, starts the world
+/// and the system, runs for `simulated` and scores the run. A Snort run
+/// that parsed no traffic is marked not-applicable.
+ScenarioResult runOnWorld(std::string scenario, sim::World& world,
+                          IdsHarness::Options options, NodeId idsNode,
+                          std::initializer_list<net::Medium> media,
+                          const metrics::GroundTruth& truth,
+                          Duration simulated, const chaos::FaultPlan* faults,
+                          const attacks::evasion::EvasionPlan* evasion);
 
 }  // namespace kalis::scenarios

@@ -14,14 +14,6 @@
 #include "metrics/ground_truth.hpp"
 #include "scenarios/common.hpp"
 
-namespace kalis::chaos {
-struct FaultPlan;
-}
-
-namespace kalis::attacks::evasion {
-struct EvasionPlan;
-}
-
 namespace kalis::scenarios {
 
 // Every Fig. 8 runner optionally takes a chaos::FaultPlan (DESIGN.md §9):

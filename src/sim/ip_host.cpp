@@ -60,7 +60,7 @@ void InternetCloud::deliverFromLocal(const net::Ipv4Header& ip, BytesView l4) {
         udp ? std::optional(net::toOwned(udp->datagram)) : std::nullopt;
     auto icmpMsg =
         icmp ? std::optional(net::toOwned(icmp->message)) : std::nullopt;
-    world_->sim().schedule(latency_, [handler, ipCopy, tcpSeg, udpDg, icmpMsg] {
+    world_->sim().schedule(kLatency, [handler, ipCopy, tcpSeg, udpDg, icmpMsg] {
       handler(ipCopy, tcpSeg ? &*tcpSeg : nullptr, udpDg ? &*udpDg : nullptr,
               icmpMsg ? &*icmpMsg : nullptr);
     });
@@ -70,7 +70,7 @@ void InternetCloud::deliverFromLocal(const net::Ipv4Header& ip, BytesView l4) {
 
 void InternetCloud::sendToLocal(const net::Ipv4Header& ip, Bytes l4) {
   if (!router_ || !world_) return;
-  world_->sim().schedule(latency_, [this, ip, l4 = std::move(l4)] {
+  world_->sim().schedule(kLatency, [this, ip, l4 = std::move(l4)] {
     NodeHandle h = world_->handle(routerNode_);
     router_->injectInbound(h, ip, BytesView(l4));
   });

@@ -323,9 +323,6 @@ class Registry {
   bool writeJsonFile(const std::string& path) const {
     return writeFile(path, toJson());
   }
-  bool writeCsvFile(const std::string& path) const {
-    return writeFile(path, toCsv());
-  }
 
  private:
   struct GaugeEntry {

@@ -77,50 +77,6 @@ class SlidingCounter {
   SlidingTimes times_;
 };
 
-/// Keeps (time, value) samples within a trailing window with an O(1) sum.
-class SlidingSum {
- public:
-  explicit SlidingSum(Duration window) : window_(window) {}
-
-  void record(SimTime t, double value) {
-    evict(t);
-    samples_.emplace_back(t, value);
-    sum_ += value;
-  }
-
-  double sum(SimTime now) {
-    evict(now);
-    return sum_;
-  }
-
-  std::size_t count(SimTime now) {
-    evict(now);
-    return samples_.size();
-  }
-
-  double mean(SimTime now) {
-    evict(now);
-    return samples_.empty() ? 0.0 : sum_ / static_cast<double>(samples_.size());
-  }
-
-  std::size_t memoryBytes() const {
-    return samples_.size() * sizeof(std::pair<SimTime, double>);
-  }
-
- private:
-  void evict(SimTime now) {
-    const SimTime cutoff = now > window_ ? now - window_ : 0;
-    while (!samples_.empty() && samples_.front().first <= cutoff) {
-      sum_ -= samples_.front().second;
-      samples_.pop_front();
-    }
-  }
-
-  Duration window_;
-  std::deque<std::pair<SimTime, double>> samples_;
-  double sum_ = 0.0;
-};
-
 /// Fixed-capacity most-recent-items buffer (the Data Store packet window).
 ///
 /// Implemented as a circular vector with slot reuse: once the window has

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <utility>
 
 #include "util/types.hpp"
 
@@ -89,6 +90,42 @@ std::optional<bool> parseBool(std::string_view s) {
   if (iequals(s, "true") || s == "1") return true;
   if (iequals(s, "false") || s == "0") return false;
   return std::nullopt;
+}
+
+bool parseSpec(
+    std::string_view spec, std::string_view kind,
+    const std::function<bool(std::string_view name)>& preset,
+    const std::function<SpecKey(std::string_view key, std::string_view value)>&
+        applyKey,
+    std::string* error) {
+  const auto fail = [error](std::string message) {
+    if (error) *error = std::move(message);
+    return false;
+  };
+  bool first = true;
+  for (const std::string& rawPart : split(spec, ',')) {
+    const std::string_view part = trim(rawPart);
+    if (part.empty()) continue;
+    // A leading preset name seeds the plan; overrides follow.
+    if (std::exchange(first, false) && preset(part)) continue;
+    const std::size_t eq = part.find('=');
+    if (eq == std::string_view::npos) {
+      return fail("expected key=value, got: " + std::string(part));
+    }
+    const std::string_view key = trim(part.substr(0, eq));
+    const std::string_view value = trim(part.substr(eq + 1));
+    switch (applyKey(key, value)) {
+      case SpecKey::kApplied:
+        break;
+      case SpecKey::kBadValue:
+        return fail("bad value for '" + std::string(key) +
+                    "': " + std::string(value));
+      case SpecKey::kUnknown:
+        return fail("unknown " + std::string(kind) + " key: " +
+                    std::string(key));
+    }
+  }
+  return true;
 }
 
 std::string formatDouble(double v) {

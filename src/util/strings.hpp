@@ -2,6 +2,8 @@
 // configuration / rule-file parsers.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,6 +32,22 @@ std::string toLower(std::string_view s);
 std::optional<long long> parseInt(std::string_view s);
 std::optional<double> parseDouble(std::string_view s);
 std::optional<bool> parseBool(std::string_view s);
+
+/// Outcome of applying one key=value pair of a spec (see parseSpec).
+enum class SpecKey : std::uint8_t { kApplied, kBadValue, kUnknown };
+
+/// Parses the "[preset,]key=value,..." syntax of the fault and evasion
+/// plans: comma-separated parts, trimmed, empty ones skipped. The first part
+/// may name a preset, which `preset` accepts by returning true; every other
+/// part goes to `applyKey`. On the first malformed part, returns false and
+/// fills `error` (when non-null); unknown keys are reported as
+/// "unknown <kind> key".
+bool parseSpec(
+    std::string_view spec, std::string_view kind,
+    const std::function<bool(std::string_view name)>& preset,
+    const std::function<SpecKey(std::string_view key, std::string_view value)>&
+        applyKey,
+    std::string* error);
 
 /// Formats a double compactly for knowgget values ("0.037", "12", "-67.5").
 std::string formatDouble(double v);

@@ -216,7 +216,7 @@ class KnowledgeEngine : public pipeline::PacketEngine {
     kb_.put("PacketCount", static_cast<long long>(packets_), "",
             /*collective=*/true);
   }
-  std::vector<ids::Alert> takeAlerts() override { return {}; }
+  void drainAlerts(std::vector<ids::Alert>&) override {}
   SimTime watermark() const override { return watermark_; }
   void finish() override { finished_ = true; }
 

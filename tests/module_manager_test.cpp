@@ -135,6 +135,25 @@ TEST_F(ManagerFixture, AddModuleAfterStartIsEvaluatedImmediately) {
   EXPECT_EQ(raw->activations, 1);
 }
 
+// The subscription addModule installs after start() must keep tracking the
+// knowledge: later flips deactivate and reactivate the late module.
+TEST_F(ManagerFixture, AddModuleAfterStartFollowsLaterKnowledgeFlips) {
+  manager.start(0);
+  auto module = std::make_unique<FeatureGatedModule>();
+  FeatureGatedModule* raw = module.get();
+  manager.addModule(std::move(module));
+  EXPECT_FALSE(manager.isActive("FeatureGatedModule"));
+
+  kb.put("TestFeature", true);
+  EXPECT_TRUE(manager.isActive("FeatureGatedModule"));
+  kb.put("TestFeature", false);
+  EXPECT_FALSE(manager.isActive("FeatureGatedModule"));
+  kb.put("TestFeature", true);
+  EXPECT_TRUE(manager.isActive("FeatureGatedModule"));
+  EXPECT_EQ(raw->activations, 2);
+  EXPECT_EQ(raw->deactivations, 1);
+}
+
 TEST_F(ManagerFixture, FindAndNames) {
   manager.addModule(std::make_unique<FeatureGatedModule>());
   manager.start(0);

@@ -98,7 +98,7 @@ class RecordingEngine : public pipeline::PacketEngine {
     }
     watermark_ = pkt.meta.timestamp;
   }
-  std::vector<ids::Alert> takeAlerts() override { return {}; }
+  void drainAlerts(std::vector<ids::Alert>&) override {}
   SimTime watermark() const override { return watermark_; }
 
  private:
@@ -122,8 +122,9 @@ class AlertPerPacketEngine : public pipeline::PacketEngine {
     fresh_.push_back(alert);
     watermark_ = pkt.meta.timestamp;
   }
-  std::vector<ids::Alert> takeAlerts() override {
-    return std::exchange(fresh_, {});
+  void drainAlerts(std::vector<ids::Alert>& out) override {
+    for (ids::Alert& a : fresh_) out.push_back(std::move(a));
+    fresh_.clear();
   }
   SimTime watermark() const override { return watermark_; }
 

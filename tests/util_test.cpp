@@ -357,16 +357,6 @@ TEST(SlidingCounter, RateIsPerSecond) {
   EXPECT_DOUBLE_EQ(counter.rate(seconds(4)), 2.0);
 }
 
-TEST(SlidingSum, SumAndMean) {
-  SlidingSum sum(seconds(10));
-  sum.record(seconds(1), 2.0);
-  sum.record(seconds(2), 4.0);
-  EXPECT_DOUBLE_EQ(sum.sum(seconds(3)), 6.0);
-  EXPECT_DOUBLE_EQ(sum.mean(seconds(3)), 3.0);
-  EXPECT_DOUBLE_EQ(sum.sum(seconds(11)), 4.0);  // first sample evicted
-  EXPECT_DOUBLE_EQ(sum.sum(seconds(13)), 0.0);  // everything evicted
-}
-
 TEST(RingWindow, DropsOldestBeyondCapacity) {
   RingWindow<int> window(3);
   for (int i = 1; i <= 5; ++i) window.push(i);
